@@ -180,12 +180,27 @@ class OpticalGstCell:
     def _transmission_table(
         self, wavelength_m: float = WAVELENGTH_1550_M
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(fc grid, transmission) table; transmission decreases with fc."""
+        """(fc grid, transmission) table; transmission decreases with fc.
+
+        Raises :class:`MaterialError` if it does not decrease strictly:
+        :meth:`fc_for_transmission` inverts the table by interpolation,
+        which would silently return a wrong fraction.
+        """
         key = round(wavelength_m, 15)
         if key not in self._table_cache:
             transmissions = np.array(
                 [self.transmission(fc, wavelength_m) for fc in _FC_GRID]
             )
+            # ``not <`` also catches NaN.
+            rising = np.flatnonzero(~(np.diff(transmissions) < 0.0))
+            if rising.size:
+                i = int(rising[0])
+                raise MaterialError(
+                    f"{self.material.name} at {wavelength_m * 1e9:.1f} nm: T(fc) "
+                    f"must decrease strictly in fc, but T({_FC_GRID[i]:.3f}) = "
+                    f"{transmissions[i]:.6g} and T({_FC_GRID[i + 1]:.3f}) = "
+                    f"{transmissions[i + 1]:.6g}"
+                )
             self._table_cache[key] = (_FC_GRID.copy(), transmissions)
         return self._table_cache[key]
 
@@ -205,7 +220,8 @@ class OpticalGstCell:
                 f"target transmission {target_transmission:.3f} outside the "
                 f"achievable range [{t_min:.3f}, {t_max:.3f}]"
             )
-        # T decreases monotonically with fc; np.interp wants ascending x.
+        # T decreases strictly with fc (checked when the table was built);
+        # np.interp wants ascending x.
         return float(np.interp(target_transmission, trans[::-1], fc_grid[::-1]))
 
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ..constants import AMBIENT_TEMPERATURE_K
 from ..errors import SolverError
@@ -167,6 +166,8 @@ class LayeredHeatSolver:
             raise SolverError("absorbed power must be non-negative")
         if pulse_duration_s < 0.0 or total_time_s <= 0.0 or dt_s <= 0.0:
             raise SolverError("times must be positive")
+        from scipy.linalg import solve_banded    # not at import: keeps start-up scipy-free
+
         n_steps = int(math.ceil(total_time_s / dt_s))
         a_banded, parts = self._assemble(dt_s)
         lower, upper, decay = parts

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from ..constants import ELEMENTARY_CHARGE, BOLTZMANN
 from ..errors import ConfigError
@@ -88,6 +87,8 @@ class ReadoutModel:
         ``d`` the current separation and ``sigma`` the noise at the
         brighter level (worst shot noise).
         """
+        from scipy.special import erfc    # not at import: keeps start-up scipy-free
+
         separation = self.level_separation_current_a(mlc)
         brightest_w = mlc.max_transmission * self.received_power_w
         sigma = self.detector.noise_current_a(brightest_w)

@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfc
-
 from ..errors import ConfigError
 
 #: SiO2 thermal properties (matching repro.device.heat.THERMAL_LIBRARY).
@@ -66,6 +64,8 @@ class ThermalCrosstalkModel:
         distance_m: float,
     ) -> float:
         """Transient temperature rise at a neighbour cell."""
+        from scipy.special import erfc    # not at import: keeps start-up scipy-free
+
         if pulse_power_w < 0.0:
             raise ConfigError("power must be non-negative")
         if distance_m <= 0.0:

@@ -18,16 +18,24 @@ modal extinction from the per-layer confinement factors:
 
 which is the standard first-order result for weakly absorbing layers and
 is accurate for the thin GST films used here (kappa << n).
+
+Root finding is split in two.  :meth:`MultilayerSlabSolver._dispersion_scan`
+evaluates ``F`` on the whole ``n_eff`` grid at once (numpy arrays, one
+pass over the layers) and is used only to bracket sign changes.  Each
+bracket is then refined on the scalar :meth:`~MultilayerSlabSolver.dispersion`
+by :func:`_brentq`, a port of scipy's Brent routine.  The scan's values
+may differ from the scalar ones in the last bits, but the roots depend
+only on the brackets and the scalar refinement, so they are the same
+floats ``scipy.optimize.brentq`` finds over a scalar scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import SolverError
 
@@ -108,6 +116,20 @@ class MultilayerSlabSolver:
             raise SolverError("mode is not guided against this cladding")
         return self.k0 * math.sqrt(val)
 
+    def _layer_matrix(self, layer: Layer, n_eff: float) -> np.ndarray:
+        """2x2 transfer matrix carrying ``(Ey, Ey')`` across one layer."""
+        k = self._transverse_k(layer.index.real, n_eff)
+        d = layer.thickness_m
+        kd = k * d
+        cos_kd = np.cos(kd)
+        if abs(k) < 1e-12:
+            sinc_term = d        # lim sin(kd)/k as k -> 0
+            ksin_term = 0.0
+        else:
+            sinc_term = np.sin(kd) / k
+            ksin_term = -k * np.sin(kd)
+        return np.array([[cos_kd, sinc_term], [ksin_term, cos_kd]])
+
     def dispersion(self, n_eff: float) -> float:
         """Dispersion function whose zeros are guided TE modes."""
         gamma_b = self._decay_const(self.n_bottom.real, n_eff)
@@ -116,43 +138,56 @@ class MultilayerSlabSolver:
         # bottom-cladding solution exp(+gamma_b * x), x < 0.
         field = np.array([1.0 + 0j, gamma_b + 0j])
         for layer in self.layers:
-            k = self._transverse_k(layer.index.real, n_eff)
-            d = layer.thickness_m
-            kd = k * d
-            cos_kd = np.cos(kd)
-            if abs(k) < 1e-12:
-                sinc_term = d        # lim sin(kd)/k as k -> 0
-                ksin_term = 0.0
-            else:
-                sinc_term = np.sin(kd) / k
-                ksin_term = -k * np.sin(kd)
-            matrix = np.array([[cos_kd, sinc_term], [ksin_term, cos_kd]])
-            field = matrix @ field
+            field = self._layer_matrix(layer, n_eff) @ field
         # Top cladding must decay: Ey' = -gamma_t * Ey.
         residual = field[1] + gamma_t * field[0]
         return float(residual.real)
+
+    def _dispersion_scan(self, grid: np.ndarray) -> np.ndarray:
+        """:meth:`dispersion` at every point of ``grid`` (guided range only).
+
+        The same per-layer propagation, with the field carried as two
+        complex arrays over the grid.  Complex products round differently
+        here than in the scalar 2x2 matmul, so use the result only for
+        its signs.
+        """
+        n_sq = grid ** 2
+        gamma_b = self.k0 * np.sqrt(n_sq - self.n_bottom.real ** 2)
+        gamma_t = self.k0 * np.sqrt(n_sq - self.n_top.real ** 2)
+        ey = np.ones(grid.shape, dtype=complex)
+        eyp = gamma_b.astype(complex)
+        for layer in self.layers:
+            k = self.k0 * np.sqrt((layer.index.real ** 2 - n_sq).astype(complex))
+            d = layer.thickness_m
+            kd = k * d
+            cos_kd = np.cos(kd)
+            sin_kd = np.sin(kd)
+            flat = np.abs(k) < 1e-12     # lim sin(kd)/k as k -> 0
+            sinc_term = np.where(flat, d, sin_kd / np.where(flat, 1.0, k))
+            ksin_term = np.where(flat, 0.0, -k * sin_kd)
+            ey, eyp = (cos_kd * ey + sinc_term * eyp,
+                       ksin_term * ey + cos_kd * eyp)
+        return (eyp + gamma_t * ey).real
 
     # ------------------------------------------------------------------
     # Mode finding
     # ------------------------------------------------------------------
 
     def find_effective_indices(self, samples: int = 1200) -> List[float]:
-        """Scan + bisect for all guided-mode effective indices (descending)."""
+        """Scan + Brent-refine all guided-mode effective indices (descending)."""
         lo = self._n_clad_max + 1e-6
         hi = self._n_core_max - 1e-9
         if hi <= lo:
             return []
         grid = np.linspace(lo, hi, samples)
-        values = np.array([self.dispersion(float(x)) for x in grid])
+        values = self._dispersion_scan(grid)
         roots: List[float] = []
-        for i in range(len(grid) - 1):
-            a, b = values[i], values[i + 1]
-            if a == 0.0:
+        for i in bracket_indices(values):
+            if values[i] == 0.0:
                 roots.append(float(grid[i]))
-            elif a * b < 0.0:
-                root = brentq(self.dispersion, float(grid[i]), float(grid[i + 1]),
-                              xtol=1e-12, rtol=1e-12)
-                roots.append(float(root))
+            else:
+                roots.append(_brentq(self.dispersion, float(grid[i]),
+                                     float(grid[i + 1])))
         return sorted(set(roots), reverse=True)
 
     def solve(self, max_modes: int = 4, samples: int = 1200) -> List[SlabMode]:
@@ -189,19 +224,8 @@ class MultilayerSlabSolver:
         x = 0.0
         for layer in self.layers:
             coefficients.append((x, field[0], field[1]))
-            k = self._transverse_k(layer.index.real, n_eff)
-            d = layer.thickness_m
-            kd = k * d
-            cos_kd = np.cos(kd)
-            if abs(k) < 1e-12:
-                sinc_term = d
-                ksin_term = 0.0
-            else:
-                sinc_term = np.sin(kd) / k
-                ksin_term = -k * np.sin(kd)
-            matrix = np.array([[cos_kd, sinc_term], [ksin_term, cos_kd]])
-            field = matrix @ field
-            x += d
+            field = self._layer_matrix(layer, n_eff) @ field
+            x += layer.thickness_m
         coefficients.append((x, field[0], field[1]))  # top interface
         return coefficients
 
@@ -247,3 +271,94 @@ class MultilayerSlabSolver:
             if index.imag != 0.0:
                 kappa_eff += confinement[name] * index.imag * (index.real / n_eff)
         return kappa_eff
+
+
+def bracket_indices(values: np.ndarray) -> np.ndarray:
+    """Scan positions ``i`` that hold a root: ``values[i]`` is zero, or
+    ``values[i]`` and ``values[i + 1]`` have opposite signs."""
+    a, b = values[:-1], values[1:]
+    return np.flatnonzero((a == 0.0) | (a * b < 0.0))
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0.0
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float = 1e-12, rtol: float = 1e-12,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (Charles Harris): the
+    same float operations in the same order, so it returns exactly the
+    float ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)`` returns (100 is scipy's default ``maxiter``).
+    Raises :class:`SolverError` where scipy raises: a NaN function
+    value, no sign change over the bracket, or no convergence within
+    ``maxiter`` iterations.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise SolverError(f"function value at x={x:.6g} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise SolverError(
+            f"no sign change over [{xa!r}, {xb!r}]: f = {fpre!r}, {fcur!r}")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            # Neither bound can be NaN, so min() picks what C's MIN does.
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise SolverError(
+        f"Brent refinement did not converge in {maxiter} iterations "
+        f"over [{xa!r}, {xb!r}]")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..errors import SolverError
 from .indices import SILICA_INDEX, SILICON_INDEX
@@ -87,12 +87,6 @@ class StripWaveguide:
             raise SolverError("a PCM film needs a positive thickness")
 
     # ------------------------------------------------------------------
-
-    def _vertical_layers(self) -> Tuple[Layer, ...]:
-        layers = [Layer("core", complex(self.core_index), self.core_thickness_m)]
-        if self.pcm_index is not None:
-            layers.append(Layer("pcm", complex(self.pcm_index), self.pcm_thickness_m))
-        return tuple(layers)
 
     def solve(self, wavelength_m: float) -> WaveguideMode:
         """Solve the fundamental quasi-TE mode at the given wavelength."""

@@ -25,7 +25,7 @@ with a persistent result store (incremental + resumable) and export::
     python -m repro.sim --arch ALL --grid --store results/ --resume \
         --export csv --export-path fig9.csv
 
-with per-phase timing (trace fetch / simulate / store I/O, fast-path
+with per-phase timing (trace fetch / device build / simulate / store I/O, fast-path
 scheduler-kernel hit rate, trace-plane segments)::
 
     python -m repro.sim --arch ALL --grid --profile
@@ -114,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="export destination ('-' = stdout)")
     parser.add_argument("--profile", action="store_true",
                         help="with --grid: print per-phase wall times "
-                             "(trace fetch, simulate, store I/O), "
+                             "(trace fetch, device build, simulate, "
+                             "store I/O), "
                              "per-pool run timings, the scheduler-kernel "
                              "hit rate and trace-plane usage after the "
                              "run")
@@ -165,6 +166,7 @@ def _print_profile(table, workers) -> None:
     fallbacks = kernel["fallbacks"]
     print("profile:", file=table)
     print(f"  trace fetch  : {phases['trace_s']:8.3f} s", file=table)
+    print(f"  device build : {phases['device_s']:8.3f} s", file=table)
     print(f"  simulate     : {phases['simulate_s']:8.3f} s", file=table)
     print(f"  store I/O    : {phases['store_s']:8.3f} s", file=table)
     for mode, usage in sorted(pools.items()):
@@ -180,7 +182,7 @@ def _print_profile(table, workers) -> None:
           f"{plane['attached_segments']} attached", file=table)
     if workers != 1:
         print("  note: fork workers time their own compute phases; "
-              "per-cell simulate/store deltas are merged back above",
+              "per-cell device/simulate deltas are merged back above",
               file=table)
 
 

@@ -42,7 +42,7 @@ model.  The engine removes both:
 ``REPRO_EVAL_WORKERS`` sets the default worker count; the controller's
 fast-path scheduler kernel (:meth:`MemoryController.run_arrays`) is the
 per-cell hot path.  :func:`profile_snapshot` exposes per-phase wall
-times (trace fetch vs simulation vs store I/O) and
+times (trace fetch vs device build vs simulation vs store I/O) and
 :func:`pool_profile_snapshot` per-pool fan-out timings for
 ``--profile``.  Fork workers return their dispatch-counter and
 profile deltas with each result and the parent merges them, so the
@@ -116,7 +116,8 @@ _THREAD_POOL: Optional[Tuple[Any, int]] = None
 #: the totals cover the whole grid under every pool kind (summed across
 #: workers, they can exceed wall-clock).
 # staticcheck: guarded-by[_PROFILE_LOCK, reads]
-_PROFILE = {"trace_s": 0.0, "simulate_s": 0.0, "store_s": 0.0}
+_PROFILE = {"trace_s": 0.0, "device_s": 0.0, "simulate_s": 0.0,
+            "store_s": 0.0}
 _PROFILE_LOCK = threading.Lock()
 
 #: Per-pool fan-out accounting for ``--profile``: cells mapped and
@@ -494,11 +495,14 @@ def evaluate_cell(task: EvalTask,
             trace = cached_trace_arrays(task.workload, task.num_requests,
                                         task.seed)
     t1 = time.perf_counter()
-    stats = controller_for(task.architecture, task.queue_depth).run_arrays(
-        trace, workload_name=task.workload)
+    # The first lookup per architecture builds the device model.
+    controller = controller_for(task.architecture, task.queue_depth)
     t2 = time.perf_counter()
+    stats = controller.run_arrays(trace, workload_name=task.workload)
+    t3 = time.perf_counter()
     _profile_add("trace_s", t1 - t0)
-    _profile_add("simulate_s", t2 - t1)
+    _profile_add("device_s", t2 - t1)
+    _profile_add("simulate_s", t3 - t2)
     return stats
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.device import CellGeometry, OpticalGstCell
 from repro.errors import ConfigError, MaterialError
+from repro.materials import get_material
 
 
 class TestResponse:
@@ -58,6 +59,37 @@ class TestLevelInversion:
         targets = np.linspace(0.1, 0.9, 9)
         fractions = [gst_cell.fc_for_transmission(t) for t in targets]
         assert all(b < a for a, b in zip(fractions, fractions[1:]))
+
+
+class TestTransmissionTableMonotonicity:
+    """``fc_for_transmission`` interpolates the T(fc) table, which is only
+    valid while T decreases strictly in fc."""
+
+    @pytest.mark.parametrize("wavelength_m", [1530e-9, 1550e-9, 1565e-9])
+    @pytest.mark.parametrize("material", ["GST", "GSST", "Sb2Se3"])
+    def test_tables_decrease_strictly(self, material, wavelength_m):
+        cell = OpticalGstCell(get_material(material))
+        _fc, transmissions = cell._transmission_table(wavelength_m)
+        assert np.all(np.diff(transmissions) < 0.0)
+
+    def test_non_monotone_transmission_raises(self, gst, monkeypatch):
+        cell = OpticalGstCell(gst)
+        real = cell.transmission
+
+        def bumped(fc, wavelength_m):
+            return real(fc, wavelength_m) + (0.5 if abs(fc - 0.5) < 1e-9 else 0.0)
+
+        monkeypatch.setattr(cell, "transmission", bumped)
+        with pytest.raises(MaterialError,
+                           match=r"T\(0\.475\) = .* and T\(0\.500\) = "):
+            cell.fc_for_transmission(0.5)
+
+    def test_nan_transmission_raises(self, gst, monkeypatch):
+        cell = OpticalGstCell(gst)
+        monkeypatch.setattr(cell, "transmission",
+                            lambda fc, wavelength_m: float("nan"))
+        with pytest.raises(MaterialError, match=r"T\(0\.000\)"):
+            cell.fc_for_transmission(0.5)
 
 
 class TestWavelengthDependence:

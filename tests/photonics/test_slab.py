@@ -2,11 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from repro.errors import SolverError
+from repro.exp import fig4, fig6
+from repro.photonics import waveguide
 from repro.photonics.indices import SILICA_INDEX, SILICON_INDEX
-from repro.photonics.slab import Layer, MultilayerSlabSolver
+from repro.photonics.slab import (
+    Layer,
+    MultilayerSlabSolver,
+    _brentq,
+    bracket_indices,
+)
+from repro.sim.factory import build_device, known_architectures
 
 
 def soi_solver(thickness=220e-9, wavelength=1550e-9):
@@ -115,3 +127,166 @@ class TestValidation:
     def test_bad_layer_rejected(self):
         with pytest.raises(SolverError):
             Layer("bad", complex(3.4), -1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Root search: vectorized bracketing scan + Brent refinement
+# ---------------------------------------------------------------------------
+
+
+def record_scans(build):
+    """Every ``(solver, grid)`` scanned while ``build()`` runs from a cold
+    mode cache."""
+    scans = []
+    real_scan = MultilayerSlabSolver._dispersion_scan
+
+    def recording_scan(self, grid):
+        scans.append((self, grid))
+        return real_scan(self, grid)
+
+    waveguide._solve_cached.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MultilayerSlabSolver, "_dispersion_scan", recording_scan)
+        build()
+    return scans
+
+
+def build_factory_and_figures():
+    for architecture in known_architectures():
+        build_device(architecture)
+    fig4.run()
+    fig6.run()
+
+
+@pytest.fixture(scope="module")
+def comet_scans():
+    return record_scans(lambda: build_device("COMET"))
+
+
+@pytest.fixture(scope="module")
+def all_scans():
+    return record_scans(build_factory_and_figures)
+
+
+def same_float(x, y):
+    """Bit equality (``==`` would also equate 0.0 and -0.0)."""
+    return float(x).hex() == float(y).hex()
+
+
+def recording(f, calls):
+    def wrapper(x):
+        calls.append(float(x).hex())
+        return f(x)
+    return wrapper
+
+
+def assert_same_outcome(f, a, b, **kwargs):
+    """``_brentq`` evaluates ``f`` at the same points as scipy's brentq,
+    bit for bit, and returns its float or raises where it raises."""
+    scipy_calls, port_calls = [], []
+    try:
+        expected = brentq(recording(f, scipy_calls), a, b,
+                          xtol=1e-12, rtol=1e-12, **kwargs)
+    except (ValueError, RuntimeError):
+        with pytest.raises(SolverError):
+            _brentq(recording(f, port_calls), a, b, **kwargs)
+    else:
+        assert same_float(_brentq(recording(f, port_calls), a, b, **kwargs),
+                          expected)
+    assert port_calls == scipy_calls
+
+
+#: Strictly increasing shapes with their root at u = 0, for u in [-1, 1].
+SHAPES = {
+    "cubic": lambda u, c: u * (1.0 + c * u * u),
+    "expm1": lambda u, c: math.expm1((c + 0.1) * u),
+    "atan": lambda u, c: math.atan((c + 0.1) * u) + c * u ** 3,
+    "sinh": lambda u, c: math.sinh((c + 0.1) * u),
+    "triple": lambda u, c: u ** 3,
+}
+
+
+@st.composite
+def bracketed_functions(draw):
+    """``(f, a, b)``: a continuous function with one root in ``[a, b]``
+    (either order), of varied curvature and scale."""
+    a = draw(st.floats(-1e3, 1e3))
+    width = draw(st.floats(1e-9, 1e3))
+    b = a + width
+    root = a + draw(st.floats(0.0, 1.0)) * width
+    shape = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    curvature = draw(st.floats(0.0, 10.0))
+    scale = draw(st.floats(1e-6, 1e6)) * draw(st.sampled_from((1.0, -1.0)))
+
+    def f(x):
+        return scale * shape((x - root) / width, curvature)
+
+    if draw(st.booleans()):
+        a, b = b, a
+    return f, a, b
+
+
+class TestVectorizedScan:
+    def test_comet_build_makes_84_solves(self, comet_scans):
+        assert len(comet_scans) == 84
+
+    def test_brackets_match_scalar_scan(self, all_scans):
+        """On every stack the factory and Figs. 4/6 build, the vectorized
+        scan brackets the same roots as a per-point scalar ``dispersion``
+        scan.  The values themselves may differ in the last bits."""
+        assert len(all_scans) > 84
+        for solver, grid in all_scans:
+            scalar = np.array([solver.dispersion(float(x)) for x in grid])
+            vector = solver._dispersion_scan(grid)
+            assert np.array_equal(bracket_indices(vector),
+                                  bracket_indices(scalar))
+            assert np.array_equal(vector == 0.0, scalar == 0.0)
+
+    def test_flat_layer_limit_matches_scalar(self):
+        """At n_eff equal to a layer index (k = 0) both paths take the
+        sin(kd)/k -> d limit."""
+        solver = soi_solver()
+        grid = np.array([2.0, 2.8, SILICON_INDEX])
+        scalar = [solver.dispersion(float(x)) for x in grid]
+        vector = solver._dispersion_scan(grid)
+        assert np.all(np.isfinite(vector))
+        assert vector == pytest.approx(scalar, rel=1e-9)
+
+
+class TestBrentPort:
+    def test_matches_scipy_on_factory_brackets(self, comet_scans):
+        refined = 0
+        for solver, grid in comet_scans:
+            values = solver._dispersion_scan(grid)
+            for i in bracket_indices(values):
+                if values[i] != 0.0:
+                    assert_same_outcome(solver.dispersion, float(grid[i]),
+                                        float(grid[i + 1]))
+                    refined += 1
+        assert refined >= 84
+
+    @settings(max_examples=300, deadline=None)
+    @given(bracketed_functions())
+    def test_matches_scipy_on_generated_functions(self, case):
+        assert_same_outcome(*case)
+
+    def test_nan_raises(self):
+        with pytest.raises(SolverError, match="NaN"):
+            _brentq(lambda x: math.nan, 0.0, 1.0)
+        # NaN only inside the bracket: the first interpolation hits it.
+        with pytest.raises(SolverError, match="NaN"):
+            _brentq(lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,
+                    0.0, 1.0)
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(SolverError, match="no sign change"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_non_convergence_raises(self):
+        def step(x):
+            return -1.0 if x < 0.3 else 1.0
+
+        with pytest.raises(SolverError, match="did not converge"):
+            _brentq(step, 0.0, 1.0, maxiter=10)
+        assert_same_outcome(step, 0.0, 1.0, maxiter=10)
+        assert_same_outcome(step, 0.0, 1.0)

@@ -62,6 +62,15 @@ class TestGridMode:
         assert "7 architectures x 2 workloads" in out
         assert "COMET" in out and "2D_DDR3" in out
 
+    def test_profile_reports_device_build_phase(self, capsys):
+        code = main(["--arch", "ALL", "--grid", "--requests", "200",
+                     "--workloads", "gcc", "--workers", "1", "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for row in ("trace fetch  :", "device build :", "simulate     :",
+                    "store I/O    :"):
+            assert row in out
+
     def test_all_requires_grid(self):
         with pytest.raises(SystemExit):
             main(["--arch", "ALL", "--workload", "mcf"])

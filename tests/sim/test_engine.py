@@ -1,6 +1,7 @@
 """Parallel evaluation engine: equivalence, determinism, fan-out."""
 
 import os
+import time
 
 import pytest
 
@@ -302,6 +303,50 @@ class TestKernelDispatchCounters:
             "per_bank": 0, "shared_bus": 6, "global_queue": 3}
         assert summary["fallbacks"] == {
             "device": 0, "toolchain": 0, "admission_reverts": 0}
+
+
+class TestProfileAttribution:
+    """``--profile`` phases: the first cell of an architecture builds its
+    device model, and that time belongs to ``device_s``, not to
+    ``simulate_s``."""
+
+    SLEEP_S = 0.25
+    TASK = EvalTask("EPCM-MM", "gcc", 300, 1)
+
+    @pytest.fixture
+    def slow_build(self, monkeypatch):
+        real_build = engine.build_device
+
+        def slow(architecture):
+            time.sleep(self.SLEEP_S)
+            return real_build(architecture)
+
+        engine.clear_device_caches()
+        monkeypatch.setattr(engine, "build_device", slow)
+        engine.reset_profile()
+        yield
+        engine.clear_device_caches()
+        engine.reset_profile()
+
+    def test_device_build_lands_in_device_s(self, slow_build):
+        evaluate_cell(self.TASK)
+        phases = engine.profile_snapshot()
+        assert phases["device_s"] >= self.SLEEP_S
+        assert phases["simulate_s"] < self.SLEEP_S
+
+    def test_cached_device_costs_no_device_time(self, slow_build):
+        evaluate_cell(self.TASK)
+        engine.reset_profile()
+        evaluate_cell(self.TASK)
+        assert engine.profile_snapshot()["device_s"] < self.SLEEP_S
+
+    def test_fork_worker_delta_carries_device_s(self, slow_build):
+        """Fork workers ship per-key profile deltas home; the new phase
+        rides along without any merge-side change."""
+        _index, _stats, _counters, delta = engine._evaluate_cell_indexed(
+            (0, self.TASK, None))
+        assert delta["device_s"] >= self.SLEEP_S
+        assert delta["simulate_s"] < self.SLEEP_S
 
 
 class TestWorkloadLookup:
