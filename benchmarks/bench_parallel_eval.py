@@ -23,6 +23,8 @@ import sys
 import time
 from typing import Dict
 
+import numpy as np
+
 from repro.sim.controller import MemoryController
 from repro.sim.engine import controller_for, run_evaluation
 from repro.sim.factory import ARCHITECTURE_NAMES
@@ -68,8 +70,9 @@ def compare(num_requests: int = NUM_REQUESTS,
     # Same physics: identical schedules (energy sums are re-associated).
     for arch in ARCHITECTURE_NAMES:
         for name in sorted(SPEC_WORKLOADS):
-            assert legacy[arch][name].latencies_ns \
-                == engine[arch][name].latencies_ns, (arch, name)
+            assert np.array_equal(legacy[arch][name].latencies_ns,
+                                  engine[arch][name].latencies_ns), \
+                (arch, name)
 
     return {
         "num_requests": num_requests,

@@ -122,6 +122,7 @@ def probe_leg(leg: str, flags: tuple) -> bool:
         if compiled.returncode != 0 or not so.exists():
             return False
         env = dict(os.environ)
+        env.pop("REPRO_FASTLOOP", None)
         env.update(leg_env(leg))
         loaded = subprocess.run(
             [sys.executable, "-c", _PROBE_PY, str(so)],
@@ -133,6 +134,10 @@ def probe_leg(leg: str, flags: tuple) -> bool:
 def run_leg(leg: str, cache_dir: str) -> bool:
     """Run the equivalence suites under one sanitizer.  Returns pass/fail."""
     env = dict(os.environ)
+    # The legs test the compiled twin, so a caller's REPRO_FASTLOOP=0
+    # kill switch must not reach them; the preflight below still fails
+    # the leg when the instrumented kernel does not load.
+    env.pop("REPRO_FASTLOOP", None)
     env.update(leg_env(leg))
     env["REPRO_FASTLOOP_SANITIZE"] = leg
     env["REPRO_FASTLOOP_CACHE"] = cache_dir

@@ -36,6 +36,11 @@ Key entry points:
   (``python -m repro.sim fabric / merge-stores``);
   :mod:`repro.sim.chaos` is the fault-injection harness that proves
   the churn story against real subprocess daemons.
+
+The package does not re-export the serving modules (``server``,
+``client``, ``fabric``, ``chaos``): import them by their full module
+path.  That keeps ``asyncio``, ``ssl`` and ``http.client`` out of every
+process that only imports the engine.
 """
 
 from .request import MemRequest, OpType
@@ -69,13 +74,6 @@ from .engine import (EvalTask, evaluate_cell, evaluate_tasks, grid_tasks,
 from .store import MergeReport, ResultStore, task_digest
 from .sweep import SweepResult, SweepSpec, run_sweep, write_csv, write_json
 from .simulator import MainMemorySimulator, summarize
-from .server import EvalServer
-from .client import (AsyncEvalClient, EvalClient, SERVER_ENV_VAR,
-                     TransportError, evaluate_tasks_remote)
-from .fabric import (FabricResult, HostFileMembership, MembershipEndpoint,
-                     MembershipSource, StaticMembership, announce_join,
-                     federate_stats, membership_counters, partition_tasks,
-                     reset_membership_counters, run_fabric, run_fabric_async)
 
 __all__ = [
     "MemRequest",
@@ -116,24 +114,6 @@ __all__ = [
     "ResultStore",
     "MergeReport",
     "task_digest",
-    "EvalServer",
-    "EvalClient",
-    "AsyncEvalClient",
-    "TransportError",
-    "SERVER_ENV_VAR",
-    "evaluate_tasks_remote",
-    "FabricResult",
-    "run_fabric",
-    "run_fabric_async",
-    "federate_stats",
-    "partition_tasks",
-    "MembershipSource",
-    "StaticMembership",
-    "HostFileMembership",
-    "MembershipEndpoint",
-    "announce_join",
-    "membership_counters",
-    "reset_membership_counters",
     "SweepSpec",
     "SweepResult",
     "run_sweep",

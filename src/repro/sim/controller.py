@@ -1008,7 +1008,7 @@ class MemoryController:
             sim_time_ns=sim_time,
             busy_time_ns=busy,
             active_time_ns=active,
-            latencies_ns=latencies.tolist(),
+            latencies_ns=latencies,
             op_energy_j=op_energy,
             refresh_energy_j=refresh_energy,
             refresh_count=refresh_count,

@@ -12,11 +12,17 @@ fixed-bin **latency summary** — exact count/mean/min/max plus a
 log-spaced histogram — stands in: the mean and extremes stay exact and
 percentiles interpolate within their bin, so percentile queries against
 archival stores return numbers instead of NaN.
+
+The raw samples are a float64 ``np.ndarray`` in memory — the
+scheduler's completion-minus-admission array, or the store sidecar's
+buffer, passed through without a copy.  They only become a list of
+Python floats at the JSON boundary (:meth:`SimStats.to_dict`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -86,9 +92,14 @@ def summary_percentile(summary: Dict[str, Any], q: float) -> float:
     return bin_lo + (bin_hi - bin_lo) * fraction
 
 
-@dataclass
+@dataclass(eq=False)
 class SimStats:
-    """Aggregated results of one trace on one device."""
+    """Aggregated results of one trace on one device.
+
+    ``latencies_ns`` accepts any float sequence and is held as a float64
+    array; equality compares it element-wise (``np.array_equal``) and
+    every other field as the generated dataclass ``__eq__`` would.
+    """
 
     device_name: str
     workload_name: str
@@ -99,7 +110,7 @@ class SimStats:
     sim_time_ns: float
     busy_time_ns: float
     active_time_ns: float
-    latencies_ns: List[float] = field(repr=False, default_factory=list)
+    latencies_ns: np.ndarray = field(repr=False, default_factory=list)
     op_energy_j: float = 0.0
     refresh_energy_j: float = 0.0
     refresh_count: int = 0
@@ -116,6 +127,13 @@ class SimStats:
     def __post_init__(self) -> None:
         if self.sim_time_ns <= 0.0:
             raise SimulationError("simulation time must be positive")
+        self.latencies_ns = np.asarray(self.latencies_ns, dtype=np.float64)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (_non_sample_fields(self) == _non_sample_fields(other)
+                and np.array_equal(self.latencies_ns, other.latencies_ns))
 
     # -- throughput ---------------------------------------------------------
 
@@ -132,7 +150,7 @@ class SimStats:
 
     @property
     def avg_latency_ns(self) -> float:
-        if not self.latencies_ns:
+        if not self.latencies_ns.size:
             if self.latency_summary is not None:
                 return float(self.latency_summary["mean_ns"])   # exact
             raise SimulationError("no completed requests")
@@ -140,7 +158,7 @@ class SimStats:
 
     @property
     def p95_latency_ns(self) -> float:
-        if not self.latencies_ns:
+        if not self.latencies_ns.size:
             if self.latency_summary is not None:
                 # Histogram estimate (exact mean/extremes, interpolated
                 # percentile) — what archival stores serve.
@@ -150,7 +168,7 @@ class SimStats:
 
     @property
     def max_latency_ns(self) -> float:
-        if not self.latencies_ns:
+        if not self.latencies_ns.size:
             if self.latency_summary is not None:
                 return float(self.latency_summary["max_ns"])    # exact
             raise SimulationError("no completed requests")
@@ -203,7 +221,7 @@ class SimStats:
         NaN columns rather than crashing a partially printed table.
         Archival entries (summary, no samples) produce real numbers.
         """
-        if not self.latencies_ns and self.latency_summary is None:
+        if not self.latencies_ns.size and self.latency_summary is None:
             nan = float("nan")
             return {"avg_latency_ns": nan, "p95_latency_ns": nan,
                     "max_latency_ns": nan}
@@ -240,8 +258,8 @@ class SimStats:
         """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["latencies_ns"] = (
-            [float(v) for v in self.latencies_ns] if latencies else [])
-        if not latencies and self.latencies_ns \
+            self.latencies_ns.tolist() if latencies else [])
+        if not latencies and self.latencies_ns.size \
                 and self.latency_summary is None:
             payload["latency_summary"] = summarize_latencies(
                 self.latencies_ns)
@@ -258,6 +276,12 @@ class SimStats:
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items()
                       if key in known})
+
+
+#: Every field but the samples, as one tuple: the generated dataclass
+#: ``__eq__`` semantics (identity, then ``==``, per element).
+_non_sample_fields = attrgetter(*(f.name for f in fields(SimStats)
+                                  if f.name != "latencies_ns"))
 
 
 def geometric_mean(values: List[float]) -> float:

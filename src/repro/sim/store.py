@@ -66,7 +66,7 @@ def _current_umask() -> int:
     return umask
 
 
-def _pack_latencies(latencies: Sequence[float]) -> bytes:
+def _pack_latencies(latencies: np.ndarray) -> bytes:
     """Per-request latencies as little-endian float64 bytes.
 
     The bulky part of an entry lives in a binary sidecar: packed floats
@@ -76,8 +76,9 @@ def _pack_latencies(latencies: Sequence[float]) -> bytes:
     return np.asarray(latencies, dtype="<f8").tobytes()
 
 
-def _unpack_latencies(blob: bytes) -> List[float]:
-    return np.frombuffer(blob, dtype="<f8").tolist()
+def _unpack_latencies(blob: bytes) -> np.ndarray:
+    """The sidecar's samples, viewing ``blob`` without a copy."""
+    return np.frombuffer(blob, dtype="<f8")
 
 
 _FINGERPRINT_CACHE: Dict[Tuple[str, str], str] = {}
@@ -321,7 +322,10 @@ class ResultStore:
         count/mean/min/max plus a log-spaced histogram) in its JSON, so
         ``latencies=False`` archival entries — which skip the bulky
         per-request sidecar — still answer mean/percentile/max queries
-        on reload instead of degrading to NaN columns.
+        on reload instead of degrading to NaN columns.  Stats without
+        samples (an archival entry read back, a trimmed wire reply) are
+        stored archival whatever ``latencies`` says: there is nothing to
+        put in a sidecar, and their summary must survive the re-put.
         """
         digest = task_digest(task)
         path = self._digest_path(digest)
@@ -333,14 +337,15 @@ class ResultStore:
             "workload_fingerprint": workload_fingerprint(task.workload),
             "stats": stats.to_dict(latencies=False),
         }
-        if latencies:
+        with_samples = latencies and stats.latencies_ns.size > 0
+        if with_samples:
             # Sidecar before entry: an entry that names a latency count
             # always finds complete bytes beside it.
             entry["latencies_count"] = len(stats.latencies_ns)
             self._atomic_write_bytes(self._sidecar_path(path),
                                      _pack_latencies(stats.latencies_ns))
         self._atomic_write(path, entry)
-        if not latencies:
+        if not with_samples:
             # Re-putting a cell in archival mode must actually reclaim
             # the bulky sidecar; the new entry no longer references it.
             self._sidecar_path(path).unlink(missing_ok=True)
@@ -474,7 +479,7 @@ class ResultStore:
 
         * digest absent here → copied (``merged``);
         * present and byte-equivalent → skipped (``already_present``);
-          if the source additionally carries a latency sidecar our
+          if the source additionally carries latency samples our
           archival entry lacks, the richer entry wins (``upgraded``);
         * present but torn/unreadable here → replaced
           (``replaced_torn``);
@@ -507,9 +512,8 @@ class ResultStore:
                         != self._comparable(dst_entry)):
                     report.conflicts.append(digest)
                     continue
-                src_count = src_entry.get("latencies_count")
-                if (src_count is None
-                        or dst_entry.get("latencies_count") is not None):
+                if (not src_entry.get("latencies_count")
+                        or dst_entry.get("latencies_count")):
                     report.already_present += 1
                     continue
                 # Same payload, but the source carries the per-request
@@ -610,11 +614,14 @@ class ResultStore:
             blob = self._sidecar_path(path).read_bytes()
             if len(blob) != 8 * count:
                 raise ValueError("torn latency sidecar")
-            # With the raw samples restored the fixed-bin summary is
-            # redundant — drop it so a loaded entry compares equal to a
-            # freshly computed one (the warm/cold bit-identity pins).
-            payload = dict(payload, latencies_ns=_unpack_latencies(blob),
-                           latency_summary=None)
+            if count:
+                # With the raw samples restored the fixed-bin summary is
+                # redundant — drop it so a loaded entry compares equal to
+                # a freshly computed one (the warm/cold bit-identity
+                # pins).  A count of 0 restores nothing: keep the summary.
+                payload = dict(payload,
+                               latencies_ns=_unpack_latencies(blob),
+                               latency_summary=None)
         return SimStats.from_dict(payload)
 
     @classmethod

@@ -19,6 +19,7 @@ scalar recurrence in every tier.
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -155,7 +156,7 @@ def assert_tiers_identical(cell):
     scalar = controller.run_arrays(trace, workload_name=workload, fast=False)
     assert fast.to_dict() == scalar.to_dict()
     reference = controller.run_reference(trace.to_requests(), workload)
-    assert fast.latencies_ns == reference.latencies_ns
+    assert np.array_equal(fast.latencies_ns, reference.latencies_ns)
     assert fast.sim_time_ns == reference.sim_time_ns
     assert fast.busy_time_ns == reference.busy_time_ns
     assert fast.active_time_ns == reference.active_time_ns

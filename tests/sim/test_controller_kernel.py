@@ -15,6 +15,7 @@ grouped prefix passes; these tests pin
   global-queue model when a stamp would bind service.
 """
 
+import numpy as np
 import pytest
 
 from repro.sim import controller as controller_mod
@@ -118,7 +119,7 @@ class TestBitIdentity:
         reference = controller.run_reference(trace.to_requests(), workload)
         # The oracle accumulates op energy per request (re-associated
         # sum); every schedule-derived quantity must match bit for bit.
-        assert fast.latencies_ns == reference.latencies_ns
+        assert np.array_equal(fast.latencies_ns, reference.latencies_ns)
         assert fast.sim_time_ns == reference.sim_time_ns
         assert fast.busy_time_ns == reference.busy_time_ns
         assert fast.active_time_ns == reference.active_time_ns
@@ -180,11 +181,12 @@ class TestPerBankAdmission:
         scalar = controller.run(list(burst))
         reference = controller.run_reference(list(burst))
         assert fast.to_dict() == scalar.to_dict()
-        assert fast.latencies_ns == reference.latencies_ns
+        assert np.array_equal(fast.latencies_ns, reference.latencies_ns)
         # Global-queue semantics: depth-1 queue serializes admission.
         globalq = MemoryController(
             perbank_device(banks=1, per_bank_queues=False), queue_depth=1)
-        assert fast.latencies_ns == globalq.run(list(burst)).latencies_ns
+        assert np.array_equal(fast.latencies_ns,
+                              globalq.run(list(burst)).latencies_ns)
 
     def test_comet_small_queue_override_falls_back(self):
         """queue_depth overrides below one entry per bank exercise the

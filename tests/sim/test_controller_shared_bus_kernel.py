@@ -61,7 +61,7 @@ def _all_tiers(controller, trace):
     scalar = controller.run_arrays(trace, workload_name="micro", fast=False)
     assert fast.to_dict() == scalar.to_dict()
     reference = controller.run_reference(trace.to_requests(), "micro")
-    assert fast.latencies_ns == reference.latencies_ns
+    assert np.array_equal(fast.latencies_ns, reference.latencies_ns)
     assert fast.sim_time_ns == reference.sim_time_ns
     assert fast.busy_time_ns == reference.busy_time_ns
     assert fast.refresh_count == reference.refresh_count
@@ -97,7 +97,7 @@ class TestHandComputedSchedules:
                        arrivals=[0.0, 5.0, 10.0, 12.0, 20.0])
         before = controller_mod.kernel_counters()["fast_shared_bus"]
         stats = _all_tiers(controller, trace)
-        assert stats.latencies_ns == [50.0, 59.0, 80.0, 92.0, 110.0]
+        assert stats.latencies_ns.tolist() == [50.0, 59.0, 80.0, 92.0, 110.0]
         # busy: bank0 (45-15)+(85-45)+(125-85)=110, bank1 (59-15)+(99-59)=84
         assert stats.busy_time_ns == 194.0
         assert stats.sim_time_ns == 130.0          # completion 130 - admit 0
@@ -120,7 +120,7 @@ class TestHandComputedSchedules:
                        is_read=[True, True, False],
                        arrivals=[0.0, 2.0, 4.0])
         stats = _all_tiers(controller, trace)
-        assert stats.latencies_ns == [35.0, 35.0, 45.0]
+        assert stats.latencies_ns.tolist() == [35.0, 35.0, 45.0]
         assert stats.busy_time_ns == 100.0     # bank0 30+40, bank1 30
 
     def test_overlap_releases_bank_at_burst_start(self):
@@ -139,7 +139,7 @@ class TestHandComputedSchedules:
         trace = _trace(addresses=[0, 0], is_read=[True, True],
                        arrivals=[0.0, 0.0])
         stats = _all_tiers(controller, trace)
-        assert stats.latencies_ns == [35.0, 55.0]
+        assert stats.latencies_ns.tolist() == [35.0, 55.0]
         assert stats.busy_time_ns == 40.0      # (20-0) + (40-20)
 
     def test_turnaround_only_charged_on_direction_flips(self):
@@ -160,7 +160,7 @@ class TestHandComputedSchedules:
                        is_read=[True, True, False],
                        arrivals=[0.0, 0.0, 0.0])
         stats = _all_tiers(controller, trace)
-        assert stats.latencies_ns == [35.0, 65.0, 105.0]
+        assert stats.latencies_ns.tolist() == [35.0, 65.0, 105.0]
 
 
 class TestFallbackTriggers:
@@ -179,7 +179,7 @@ class TestFallbackTriggers:
         counters = controller_mod.kernel_counters()
         stats = controller.run_arrays(trace, workload_name="micro",
                                       fast=True)
-        assert stats.latencies_ns == [50.0, 59.0, 80.0, 92.0, 110.0]
+        assert stats.latencies_ns.tolist() == [50.0, 59.0, 80.0, 92.0, 110.0]
         after = controller_mod.kernel_counters()
         assert after["fallback_toolchain"] \
             == counters["fallback_toolchain"] + 1
@@ -202,7 +202,7 @@ class TestFallbackTriggers:
         counters = controller_mod.kernel_counters()
         stats = controller.run_arrays(trace, workload_name="micro",
                                       fast=True)
-        assert stats.latencies_ns == [50.0, 59.0, 80.0, 92.0, 110.0]
+        assert stats.latencies_ns.tolist() == [50.0, 59.0, 80.0, 92.0, 110.0]
         after = controller_mod.kernel_counters()
         assert after["fallback_device"] == counters["fallback_device"] + 1
         assert after["fast_shared_bus"] == counters["fast_shared_bus"]

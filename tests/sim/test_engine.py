@@ -3,6 +3,7 @@
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -78,7 +79,8 @@ class TestParallelSerialEquivalence:
                 reference = controller.run_reference(
                     generate_trace(workload, 800, seed=5), workload)
                 vectorized = controller.run(trace, workload)
-                assert vectorized.latencies_ns == reference.latencies_ns
+                assert np.array_equal(vectorized.latencies_ns,
+                                      reference.latencies_ns)
                 assert vectorized.sim_time_ns == reference.sim_time_ns
                 assert vectorized.busy_time_ns == reference.busy_time_ns
                 assert vectorized.row_hits == reference.row_hits
@@ -207,7 +209,7 @@ class TestQueueDepthOverride:
         base = evaluate_cell(EvalTask("EPCM-MM", "gcc", 500, 3))
         shallow = evaluate_cell(EvalTask("EPCM-MM", "gcc", 500, 3,
                                          queue_depth=1))
-        assert shallow.latencies_ns != base.latencies_ns
+        assert not np.array_equal(shallow.latencies_ns, base.latencies_ns)
 
 
 class TestCaches:

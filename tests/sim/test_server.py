@@ -150,7 +150,7 @@ class TestServedResults:
             client = AsyncEvalClient(server.http_address)
             return await client.eval_cell(TASK, latencies=False)
         lean = run_scenario(scenario)
-        assert lean.latencies_ns == []
+        assert lean.latencies_ns.tolist() == []
         assert lean.bandwidth_gbps == evaluate_cell(TASK).bandwidth_gbps
 
     def test_sync_client_over_unix_line_protocol(self, tmp_path):

@@ -2,11 +2,15 @@
 
 import json
 import math
+import pickle
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim import ARCHITECTURE_NAMES, MainMemorySimulator, build_device
+from repro.sim.engine import EvalTask, evaluate_cell
 from repro.sim.stats import SimStats, geometric_mean
 
 
@@ -74,6 +78,11 @@ class TestStats:
         assert summary["X"]["bandwidth_gbps"] == pytest.approx(1.28)
 
 
+@pytest.fixture(scope="module")
+def cell_stats():
+    return evaluate_cell(EvalTask("COMET", "mcf", 2000, 3))
+
+
 class TestStatsSerialization:
     def test_round_trip_is_bit_identical(self):
         stats = make_stats(latencies_ns=[1.5, 2.25, 1e-7])
@@ -103,6 +112,46 @@ class TestStatsSerialization:
         payload.pop("latency_summary")      # pre-summary producer
         restored = SimStats.from_dict(payload)
         assert math.isnan(restored.as_row()["avg_latency_ns"])
+
+    def test_evaluate_cell_returns_float64_samples(self, cell_stats):
+        samples = cell_stats.latencies_ns
+        assert isinstance(samples, np.ndarray)
+        assert samples.dtype == np.float64
+        assert samples.shape == (cell_stats.num_requests,)
+
+    def test_wire_encoding_matches_a_list_of_floats(self, cell_stats):
+        """The JSON (and the pickle) of ``to_dict`` are byte-identical to
+        the same dict built from a per-sample list of Python floats."""
+        payload = cell_stats.to_dict()
+        as_list = dict(payload, latencies_ns=[
+            float(v) for v in cell_stats.latencies_ns])
+        assert json.dumps(payload) == json.dumps(as_list)
+        assert pickle.dumps(payload) == pickle.dumps(as_list)
+
+    def test_json_and_pickle_round_trips_compare_equal(self, cell_stats):
+        via_json = SimStats.from_dict(
+            json.loads(json.dumps(cell_stats.to_dict())))
+        via_pickle = pickle.loads(pickle.dumps(cell_stats))
+        assert via_json == cell_stats
+        assert via_pickle == cell_stats
+        assert via_json.latencies_ns.dtype == np.float64
+
+    def test_one_ulp_in_one_sample_breaks_equality(self, cell_stats):
+        samples = cell_stats.latencies_ns.copy()
+        middle = len(samples) // 2
+        samples[middle] = np.nextafter(samples[middle], np.inf)
+        assert replace(cell_stats, latencies_ns=samples) != cell_stats
+        assert replace(cell_stats, latencies_ns=samples.copy()) \
+            == replace(cell_stats, latencies_ns=samples)
+
+    def test_scalar_field_change_breaks_equality(self, cell_stats):
+        assert replace(cell_stats, row_hits=cell_stats.row_hits + 1) \
+            != cell_stats
+
+    def test_equality_with_other_types_is_false(self, cell_stats):
+        assert (cell_stats == object()) is False
+        assert cell_stats != object()
+        assert SimStats.__hash__ is None
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
@@ -191,7 +240,7 @@ class TestArrivalOrderHandling:
         simulator = MainMemorySimulator("EPCM-MM")
         scrambled = simulator.run(self._trace(shuffled))
         ordered = simulator.run(self._trace(sorted(shuffled)))
-        assert scrambled.latencies_ns == ordered.latencies_ns
+        assert np.array_equal(scrambled.latencies_ns, ordered.latencies_ns)
         assert scrambled.sim_time_ns == ordered.sim_time_ns
 
     def test_sorted_input_not_copied(self, monkeypatch):

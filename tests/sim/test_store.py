@@ -1,6 +1,7 @@
 """Persistent result store: digests, round trips, invalidation."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,7 +129,7 @@ class TestResultStore:
         stats = evaluate_cell(TASK)
         store.put(TASK, stats, latencies=False)
         lean = store.get(TASK)
-        assert lean.latencies_ns == []
+        assert lean.latencies_ns.tolist() == []
         assert lean.bandwidth_gbps == stats.bandwidth_gbps
         assert lean.avg_latency_ns == stats.avg_latency_ns
         assert lean.max_latency_ns == stats.max_latency_ns
@@ -147,7 +148,76 @@ class TestResultStore:
         assert sidecar.exists()
         store.put(TASK, stats, latencies=False)
         assert not sidecar.exists()
-        assert store.get(TASK).latencies_ns == []
+        assert store.get(TASK).latencies_ns.tolist() == []
+
+    def test_reput_of_archival_stats_keeps_the_summary(self, tmp_path):
+        """Stats read back from an archival entry carry a summary and no
+        samples; putting them into another store with the default
+        ``latencies=True`` must keep that summary, not write an empty
+        sidecar that later reads back as neither."""
+        stats = evaluate_cell(TASK)
+        archival = ResultStore(tmp_path / "archival")
+        archival.put(TASK, stats, latencies=False)
+        lean = archival.get(TASK)
+        copy = ResultStore(tmp_path / "copy")
+        copy.put(TASK, lean)
+        assert not copy.path_for(TASK).with_suffix(".lat").exists()
+        again = copy.get(TASK)
+        assert again == lean
+        assert lean.latency_summary is not None
+        assert again.latency_summary == lean.latency_summary
+        assert again.p95_latency_ns == lean.p95_latency_ns
+        assert again.avg_latency_ns == stats.avg_latency_ns
+        assert not any(math.isnan(value)
+                       for value in again.latency_row().values())
+
+    @staticmethod
+    def _put_zero_count_entry(store, stats):
+        """A sample-less entry in the older layout: ``latencies_count``
+        0 beside an empty sidecar."""
+        store.put(TASK, stats)
+        path = store.path_for(TASK)
+        entry = json.loads(path.read_text())
+        entry["latencies_count"] = 0
+        path.write_text(json.dumps(entry))
+        path.with_suffix(".lat").write_bytes(b"")
+
+    def test_zero_count_entries_read_back_with_their_summary(self, store,
+                                                             tmp_path):
+        """A count of 0 restores no samples, so the summary stays."""
+        lean_store = ResultStore(tmp_path / "lean")
+        lean_store.put(TASK, evaluate_cell(TASK), latencies=False)
+        lean = lean_store.get(TASK)
+        self._put_zero_count_entry(store, lean)
+        assert store.get(TASK) == lean
+        assert store.get(TASK).p95_latency_ns == lean.p95_latency_ns
+
+    def test_zero_count_entries_carry_no_samples_in_merges(self, tmp_path):
+        stats = evaluate_cell(TASK)
+        archival = ResultStore(tmp_path / "archival")
+        archival.put(TASK, stats, latencies=False)
+        legacy = ResultStore(tmp_path / "legacy")
+        self._put_zero_count_entry(legacy, archival.get(TASK))
+        report = archival.merge_from(legacy)
+        assert report.already_present == 1 and not report.upgraded
+        full = ResultStore(tmp_path / "full")
+        full.put(TASK, stats)
+        report = legacy.merge_from(full)
+        assert len(report.upgraded) == 1
+        assert legacy.get(TASK) == stats
+
+    def test_merging_reput_archival_stats_is_already_present(self,
+                                                             tmp_path):
+        stats = evaluate_cell(TASK)
+        archival = ResultStore(tmp_path / "archival")
+        archival.put(TASK, stats, latencies=False)
+        copy = ResultStore(tmp_path / "copy")
+        copy.put(TASK, archival.get(TASK))
+        report = archival.merge_from(copy)
+        assert report.already_present == 1
+        assert not report.upgraded and not report.conflicts
+        assert archival.get(TASK).p95_latency_ns \
+            == copy.get(TASK).p95_latency_ns
 
 
 class TestInvalidation:
