@@ -4,22 +4,38 @@ The CI job runs this end to end against real processes (no pytest, no
 in-process shortcuts): launch ``python -m repro.sim serve`` as a
 subprocess, wait for its ready line, issue one cache-miss query and the
 same query again (served without recomputation — verified via
-``/stats``), then request shutdown and assert the daemon exits 0.
+``/stats``), fetch the cell in both reply encodings (JSON for a plain
+POST, the binary frame for the ``Accept`` header the bundled clients
+send), then request shutdown and assert the daemon exits 0.
 
 Usage::
 
     PYTHONPATH=src python examples/server_smoke.py
 """
 
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import urllib.request
 
-from repro.sim.client import EvalClient
-from repro.sim.engine import EvalTask, evaluate_cell
+from repro.sim.client import ACCEPT, EvalClient
+from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
+from repro.sim.server import FRAME_CONTENT_TYPE, decode_frame
+from repro.sim.stats import SimStats
 
 TASK = EvalTask("EPCM-MM", "gcc", 500, 7)
+
+
+def fetch(address: str, accept: str = None):
+    """POST the smoke cell with urllib → (Content-Type, body bytes)."""
+    headers = {"Accept": accept} if accept else {}
+    request = urllib.request.Request(
+        f"{address}/eval", headers=headers,
+        data=json.dumps({"task": task_to_dict(TASK)}).encode())
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return response.headers["Content-Type"], response.read()
 
 
 def main() -> int:
@@ -55,6 +71,22 @@ def main() -> int:
         direct = evaluate_cell(TASK)
         assert miss == direct, "served stats differ from direct evaluation"
         print("served stats bit-identical to direct evaluate_cell")
+
+        # The same cell in both encodings.  A plain POST (curl, older
+        # clients) sends no Accept header and gets JSON...
+        content_type, body = fetch(address)
+        assert content_type == "application/json", content_type
+        stats = json.loads(body)["results"][0]["stats"]
+        assert SimStats.from_dict(stats) == direct, "JSON reply diverged"
+        # ...and the clients' Accept header gets the binary frame, whose
+        # samples EvalClient views in place (read-only, not copied).
+        content_type, body = fetch(address, ACCEPT)
+        assert content_type == FRAME_CONTENT_TYPE, content_type
+        stats = decode_frame(body, json.loads)["results"][0]["stats"]
+        assert SimStats.from_dict(stats) == direct, "frame reply diverged"
+        assert not hit.latencies_ns.flags.writeable, \
+            "EvalClient did not decode a frame"
+        print("JSON and frame replies both bit-identical to direct")
 
         client.shutdown()
         code = daemon.wait(timeout=60)

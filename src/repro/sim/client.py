@@ -1,18 +1,25 @@
 """Clients for the async evaluation service (:mod:`repro.sim.server`).
 
-Two transports, one wire format:
+Two transports, one reply object:
 
 * ``http://host:port`` — the daemon's HTTP endpoint, spoken by the sync
   :class:`EvalClient` (stdlib ``http.client``) and the
-  :class:`AsyncEvalClient` (raw asyncio streams).
+  :class:`AsyncEvalClient` (raw asyncio streams).  Both list
+  ``application/x-repro-frame`` in ``Accept``, so a 200 ``/eval`` reply
+  arrives as a binary frame (:func:`repro.sim.server.encode_frame`):
+  a JSON header plus the per-request samples as packed float64, which
+  become read-only views into the reply body without a copy.  Every
+  other reply, and every reply from a daemon that predates frames, is
+  JSON; the ``Content-Type`` of each reply says which.
 * ``unix:///path/to.sock`` — the newline-delimited-JSON line protocol
   over a unix socket (both clients).
 
 ``REPRO_EVAL_SERVER`` names the default server address, which is how
 ``exp/fig9.py`` and the ``python -m repro.sim query`` CLI find a warm
 daemon.  Responses deserialize back into :class:`SimStats` that are
-bit-identical to a local :func:`repro.sim.engine.evaluate_cell` call
-(Python floats survive JSON exactly).
+bit-identical to a local :func:`repro.sim.engine.evaluate_cell` call in
+either encoding: frame samples are the float64 bytes themselves, and
+Python floats survive JSON exactly.
 
 **Transient failures.**  Connection-level problems — refused connects,
 resets, a daemon restarting mid-sweep — raise :class:`TransportError`
@@ -22,7 +29,9 @@ up to ``retries`` extra attempts per call.  ``POST /shutdown`` is never
 retried: a shutdown whose response was lost may already have landed,
 and re-sending it to the daemon that restarted in between would kill
 the *new* daemon.  Structured server errors and malformed responses
-are not retried — they are deterministic, not transient.
+are not retried — they are deterministic, not transient; a reply of
+the wrong shape raises ``SimulationError("malformed server reply:
+...")``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from .engine import EvalTask, task_to_dict
-from .server import MAX_BODY_BYTES, MAX_HEADER_LINES
+from .server import (FRAME_CONTENT_TYPE, MAX_BODY_BYTES, MAX_HEADER_LINES,
+                     decode_frame)
 from .stats import SimStats
 from .sweep import SweepSpec
 
@@ -62,6 +72,10 @@ DEFAULT_BACKOFF = 0.2
 #: cell could sleep for minutes; the cap keeps the worst wait bounded
 #: while preserving the early exponential spread.
 DEFAULT_MAX_BACKOFF = 30.0
+
+#: ``Accept`` header of every HTTP request: a 200 ``/eval`` reply as a
+#: binary frame, anything else as JSON.
+ACCEPT = f"{FRAME_CONTENT_TYPE}, application/json"
 
 #: Operations that must make exactly one attempt, whatever ``retries``
 #: says: a lost shutdown response may mean the shutdown *landed*, and
@@ -133,23 +147,48 @@ def _check_reply(reply: Any, status: Optional[int] = None) -> Dict[str, Any]:
     return reply
 
 
+def _decode_body(raw: bytes, content_type: str = "application/json") \
+        -> Any:
+    """One reply body → its reply object, by ``Content-Type``: a binary
+    ``/eval`` frame or JSON.  Both clients decode every reply here."""
+    if content_type.split(";", 1)[0].strip().lower() == FRAME_CONTENT_TYPE:
+        return decode_frame(raw, json.loads)
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as error:
+        raise SimulationError(
+            f"malformed server response: {error}") from error
+
+
 def _results_to_stats(tasks: Sequence[EvalTask], reply: Dict[str, Any]) \
         -> Dict[EvalTask, SimStats]:
     """Zip an eval reply back onto the requested tasks (server order ==
-    request order; the echoed task dict is cross-checked)."""
+    request order; the echoed task dict is cross-checked).  A reply of
+    the wrong shape raises ``SimulationError("malformed server reply:
+    ...")``."""
     results = reply.get("results")
     if not isinstance(results, list) or len(results) != len(tasks):
         raise SimulationError(
             f"server returned {len(results) if isinstance(results, list) else 'malformed'} "
             f"results for {len(tasks)} tasks")
     lookup: Dict[EvalTask, SimStats] = {}
-    for task, row in zip(tasks, results):
+    for index, (task, row) in enumerate(zip(tasks, results)):
+        if not isinstance(row, dict) or not isinstance(row.get("stats"),
+                                                       dict):
+            raise SimulationError(
+                f"malformed server reply: result {index} is not an object "
+                f"with a stats object")
         echoed = row.get("task")
         if echoed != task_to_dict(task):
             raise SimulationError(
                 f"server reply out of order: expected {task.describe()}, "
                 f"got {echoed!r}")
-        lookup[task] = SimStats.from_dict(row["stats"])
+        try:
+            lookup[task] = SimStats.from_dict(row["stats"])
+        except (TypeError, ValueError, OverflowError) as error:
+            raise SimulationError(
+                f"malformed server reply: stats of {task.describe()}: "
+                f"{error}") from error
     return lookup
 
 
@@ -184,8 +223,9 @@ class EvalClient:
         try:
             body = json.dumps(payload).encode() if payload is not None \
                 else None
-            headers = {"Content-Type": "application/json"} \
-                if body is not None else {}
+            headers = {"Accept": ACCEPT}
+            if body is not None:
+                headers["Content-Type"] = "application/json"
             try:
                 connection.request(method, path, body=body, headers=headers)
                 response = connection.getresponse()
@@ -194,11 +234,8 @@ class EvalClient:
                 raise TransportError(
                     f"evaluation server {host}:{port} unreachable: "
                     f"{error}") from error
-            try:
-                return response.status, json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise SimulationError(
-                    f"malformed server response: {error}") from error
+            return response.status, _decode_body(
+                raw, response.getheader("Content-Type", ""))
         finally:
             connection.close()
 
@@ -216,11 +253,7 @@ class EvalClient:
                 f"{error}") from error
         if not line:
             raise TransportError("evaluation server closed the connection")
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as error:
-            raise SimulationError(
-                f"malformed server response: {error}") from error
+        return _decode_body(line)
 
     def _call_once(self, op: str, path: str, method: str,
                    payload: Optional[Dict[str, Any]] = None) \
@@ -296,7 +329,7 @@ class EvalClient:
 
 
 class AsyncEvalClient:
-    """Asyncio client: same wire format, non-blocking transports.
+    """Asyncio client: same wire formats, non-blocking transports.
 
     HTTP requests open one connection per call (the server speaks
     ``Connection: close``); unix line-protocol calls do the same for
@@ -361,6 +394,7 @@ class AsyncEvalClient:
                 else b""
             head = (f"{method} {path} HTTP/1.1\r\n"
                     f"Host: {host}:{port}\r\n"
+                    f"Accept: {ACCEPT}\r\n"
                     f"Content-Type: application/json\r\n"
                     f"Content-Length: {len(body)}\r\n"
                     f"Connection: close\r\n\r\n").encode("latin-1")
@@ -380,6 +414,7 @@ class AsyncEvalClient:
                 raise SimulationError(
                     f"malformed HTTP status line: {status_line!r}") from None
             length = 0
+            content_type = ""
             header_lines = 0
             while True:
                 line = await self._read_line(reader, "HTTP header line")
@@ -393,7 +428,10 @@ class AsyncEvalClient:
                         f"server response has more than "
                         f"{MAX_HEADER_LINES} header lines")
                 name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
+                name = name.strip().lower()
+                if name == "content-type":
+                    content_type = value.strip()
+                elif name == "content-length":
                     try:
                         length = int(value.strip())
                     except ValueError:
@@ -412,11 +450,7 @@ class AsyncEvalClient:
             except asyncio.TimeoutError as error:
                 raise TransportError(
                     "evaluation server timed out mid-response") from error
-            try:
-                return status, json.loads(raw)
-            except json.JSONDecodeError as error:
-                raise SimulationError(
-                    f"malformed server response: {error}") from error
+            return status, _decode_body(raw, content_type)
         except asyncio.IncompleteReadError as error:
             raise TransportError(
                 f"evaluation server closed mid-response: {error}") from error
@@ -461,11 +495,7 @@ class AsyncEvalClient:
                 pass
         if not line:
             raise TransportError("evaluation server closed the connection")
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as error:
-            raise SimulationError(
-                f"malformed server response: {error}") from error
+        return _decode_body(line)
 
     async def _call_once(self, op: str, path: str, method: str,
                          payload: Optional[Dict[str, Any]] = None) \

@@ -565,7 +565,7 @@ class _FabricRun:
         self.remaining = len(missing)
         self.stolen = 0
         self.redispatched = 0
-        self.failure: Optional[SimulationError] = None
+        self.failure: Optional[Exception] = None
         self.joined: List[str] = []
         self.readmitted: List[str] = []
         self.evicted: List[str] = []
@@ -838,7 +838,7 @@ class _FabricRun:
                     return task, True
         return None, False
 
-    def fail(self, error: SimulationError) -> None:
+    def fail(self, error: Exception) -> None:
         if self.failure is None:
             self.failure = error
         self.wakeup.set()
@@ -877,6 +877,15 @@ class _FabricRun:
             host.workers.add(worker)
             worker.add_done_callback(self._workers.discard)
             worker.add_done_callback(host.workers.discard)
+            worker.add_done_callback(self._task_exited)
+
+    def _task_exited(self, task: "asyncio.Task") -> None:
+        """A worker or the prober that died of an unexpected exception
+        (a raising ``on_result`` callback, a failed store write) fails
+        the run with that error: nothing else would ever latch ``done``
+        for the cell it lost."""
+        if not task.cancelled() and task.exception() is not None:
+            self.fail(task.exception())
 
     async def worker(self, host: _HostState) -> None:
         """One in-flight slot on one host.  Exits when the run
@@ -958,6 +967,7 @@ class _FabricRun:
         for host in list(self.hosts.values()):
             self._spawn_workers(host)
         prober = asyncio.ensure_future(self._prober())
+        prober.add_done_callback(self._task_exited)
         try:
             await self.done.wait()
         finally:
@@ -1016,7 +1026,8 @@ async def run_fabric_async(
     reason)`` observes every state transition (the chaos tests key
     fault injection off it); ``latencies=False`` trims per-request
     samples from both the wire and the store write-through (archival
-    mode).
+    mode).  An exception raised by ``on_result`` (or by the store
+    write-through) ends the run with that exception.
 
     The final ``results`` are bit-identical to a serial
     :func:`~repro.sim.sweep.run_sweep` of the same spec — under

@@ -36,10 +36,18 @@ the online layer over them — an asyncio daemon that answers evaluation
   dies mid-compute comes back as a 5xx JSON error annotated with the
   failing cell (the same ``grid cell (...) failed`` shape the sweep
   path uses) — never a hung connection or a bare worker traceback.
+* **Two reply encodings, negotiated.**  Every reply is the JSON of its
+  reply object, except a 200 ``POST /eval`` reply to a request whose
+  ``Accept`` header names :data:`FRAME_CONTENT_TYPE`: that one is a
+  frame (:func:`encode_frame`), a JSON header line followed by the
+  per-request samples as packed float64, so 20,000 samples per cell
+  are not printed as text and parsed back.  The bundled clients always
+  ask for it; curl and the line protocol get JSON.
 
-Served stats are bit-identical to a direct :func:`evaluate_cell` call:
-the wire format is ``SimStats.to_dict`` and Python floats round-trip
-exactly through JSON.
+Served stats are bit-identical to a direct :func:`evaluate_cell` call
+in both encodings: the reply is ``SimStats.to_dict``, Python floats
+round-trip exactly through JSON, and frame samples are the float64
+bytes themselves.
 """
 
 from __future__ import annotations
@@ -52,14 +60,16 @@ from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, Executor, \
     ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..errors import ReproError, SimulationError
 from .controller import merge_kernel_counters
 from .engine import (EvalTask, _resolve_workers, evaluate_cell_checked,
                      evaluate_cell_with_counters, resolve_pool,
                      task_from_dict, task_to_dict)
-from .stats import SimStats
+from .stats import SimStats, pack_latencies, unpack_latencies
 from .store import ResultStore, task_digest
 from .sweep import SweepSpec
 
@@ -84,6 +94,9 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: by a peer streaming headers forever.
 MAX_HEADER_LINES = 128
 
+#: Content type of the binary ``/eval`` reply (:func:`encode_frame`).
+FRAME_CONTENT_TYPE = "application/x-repro-frame"
+
 _HTTP_REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -100,6 +113,92 @@ COUNTER_NAMES = (
     "computed",       # cells actually evaluated by the executor
     "errors",         # queries answered with a structured error
 )
+
+
+def _samples_as_list(value: Any) -> Any:
+    """``json.dumps`` hook: a reply's sample array becomes its list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def encode_json(reply: Dict[str, Any]) -> bytes:
+    """A reply object as JSON: sample arrays become lists of floats,
+    byte-identical to ``json.dumps`` of the ``SimStats.to_dict()``
+    reply."""
+    return json.dumps(reply, default=_samples_as_list).encode("utf-8")
+
+
+def encode_frame(reply: Dict[str, Any]) -> bytes:
+    """A 200 ``/eval`` reply object as a binary frame.
+
+    Layout: one header line, the ``json.dumps`` of the reply with each
+    result's ``stats.latencies_ns`` array replaced by its length, then
+    every result's samples in result order, packed like the store's
+    ``.lat`` sidecar (:func:`~repro.sim.stats.pack_latencies`).  The
+    body ends exactly at the last block.  Spaces pad the header line
+    so each block starts 8-byte aligned (``bytes`` data is, so the
+    client's views are too): numpy sums a misaligned float64 view in
+    buffered chunks, which would change a served mean in its last bits.
+    """
+    results, blocks = [], []
+    for row in reply["results"]:
+        samples = row["stats"]["latencies_ns"]
+        results.append({**row, "stats": {**row["stats"],
+                                         "latencies_ns": len(samples)}})
+        blocks.append(pack_latencies(samples))
+    header = json.dumps({**reply, "results": results}).encode("utf-8")
+    padding = b" " * (-(len(header) + 1) % 8)
+    return b"".join([header, padding, b"\n", *blocks])
+
+
+def decode_frame(body: bytes,
+                 loads: Callable[[bytes], Any]) -> Dict[str, Any]:
+    """Inverse of :func:`encode_frame`: the reply object, each result's
+    ``stats.latencies_ns`` a float64 view into ``body`` (no copy).
+
+    ``loads`` parses the header line (the caller's ``json.loads``).
+    Every shape error — no header line, a header that is not a JSON
+    object, a sample count that is not a non-negative int or runs past
+    the body, bytes after the last block — raises
+    :class:`SimulationError`.
+    """
+    end = body.find(b"\n")
+    if end < 0:
+        raise SimulationError("malformed server reply: frame has no "
+                              "header line")
+    try:
+        reply = loads(body[:end])
+    except (ValueError, RecursionError) as error:
+        raise SimulationError(
+            f"malformed server reply: frame header: {error}") from None
+    results = reply.get("results", []) if isinstance(reply, dict) else None
+    if not isinstance(results, list):
+        raise SimulationError("malformed server reply: frame header is "
+                              "not a reply object")
+    offset = end + 1
+    for index, row in enumerate(results):
+        stats = row.get("stats") if isinstance(row, dict) else None
+        count = stats.get("latencies_ns") if isinstance(stats, dict) \
+            else None
+        if type(count) is not int or not 0 <= 8 * count <= len(body) - offset:
+            raise SimulationError(
+                f"malformed server reply: result {index} has no valid "
+                f"sample count within the frame")
+        stats["latencies_ns"] = unpack_latencies(body, count, offset)
+        offset += 8 * count
+    if offset != len(body):
+        raise SimulationError(
+            f"malformed server reply: {len(body) - offset} bytes after "
+            f"the last sample block")
+    return reply
+
+
+def _accepts_frame(accept: str) -> bool:
+    """Whether an ``Accept`` header lists :data:`FRAME_CONTENT_TYPE`
+    (media-type parameters are ignored)."""
+    return any(item.split(";", 1)[0].strip().lower() == FRAME_CONTENT_TYPE
+               for item in accept.split(","))
 
 
 def _parse_query(payload: Any) -> Tuple[List[EvalTask], bool]:
@@ -475,7 +574,10 @@ class EvalServer:
 
         The protocol-independent core both front-ends call; tests may
         call it directly.  Responses are all-or-nothing: any failing
-        cell fails the query with a structured error.
+        cell fails the query with a structured error.  Each result's
+        ``stats.latencies_ns`` stays the float64 sample array: the
+        front-end encodes it as a JSON list (:func:`encode_json`) or a
+        frame block (:func:`encode_frame`).
         """
         self._counters["queries"] += 1
         try:
@@ -495,7 +597,7 @@ class EvalServer:
                 "task": task_to_dict(task),
                 "digest": task_digest(task),   # memoized by resolution
                 "source": source,
-                "stats": stats.to_dict(latencies=latencies),
+                "stats": stats.to_dict(latencies=latencies, as_list=False),
             }
             for task, (stats, source) in zip(tasks, resolved)
         ]
@@ -508,10 +610,10 @@ class EvalServer:
         """One HTTP/1.1 request per connection (``Connection: close``)."""
         shutting_down = False
         try:
-            status, payload = await self._http_exchange(reader)
+            status, payload, frame = await self._http_exchange(reader)
             if status == 200 and payload.get("shutting_down"):
                 shutting_down = True
-            await self._write_http(writer, status, payload)
+            await self._write_http(writer, status, payload, frame)
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.LimitOverrunError, ValueError):
             pass    # client went away or sent garbage beyond recovery
@@ -526,7 +628,11 @@ class EvalServer:
                 self.request_shutdown()
 
     async def _http_exchange(self, reader: asyncio.StreamReader) \
-            -> Tuple[int, Dict[str, Any]]:
+            -> Tuple[int, Dict[str, Any], bool]:
+        """Read one request and answer it → ``(status, payload,
+        frame)``; ``frame`` says whether to send the payload as a
+        binary frame: only a 200 ``/eval`` reply to a request that
+        asked for one."""
         request_line = await reader.readline()
         if not request_line:
             raise ConnectionError("empty request")
@@ -535,7 +641,8 @@ class EvalServer:
                 request_line.decode("latin-1").split(None, 2)
         except ValueError:
             self._counters["errors"] += 1
-            return 400, {"ok": False, "error": "malformed request line"}
+            return 400, {"ok": False, "error": "malformed request line"}, \
+                False
         headers: Dict[str, str] = {}
         header_lines = 0
         while True:
@@ -547,20 +654,25 @@ class EvalServer:
                 self._counters["errors"] += 1
                 return 400, {"ok": False,
                              "error": f"more than {MAX_HEADER_LINES} "
-                                      f"header lines"}
+                                      f"header lines"}, False
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             self._counters["errors"] += 1
-            return 400, {"ok": False, "error": "bad Content-Length"}
+            return 400, {"ok": False, "error": "bad Content-Length"}, False
         if length < 0 or length > MAX_BODY_BYTES:
             self._counters["errors"] += 1
             return 413, {"ok": False,
-                         "error": f"body exceeds {MAX_BODY_BYTES} bytes"}
+                         "error": f"body exceeds {MAX_BODY_BYTES} bytes"}, \
+                False
         body = await reader.readexactly(length) if length else b""
-        return await self._route_http(method, target.split("?", 1)[0], body)
+        path = target.split("?", 1)[0]
+        status, payload = await self._route_http(method, path, body)
+        frame = status == 200 and path == "/eval" \
+            and _accepts_frame(headers.get("accept", ""))
+        return status, payload, frame
 
     async def _route_http(self, method: str, path: str, body: bytes) \
             -> Tuple[int, Dict[str, Any]]:
@@ -596,10 +708,13 @@ class EvalServer:
 
     @staticmethod
     async def _write_http(writer: asyncio.StreamWriter, status: int,
-                          payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+                          payload: Dict[str, Any], frame: bool) -> None:
+        if frame:
+            content_type, body = FRAME_CONTENT_TYPE, encode_frame(payload)
+        else:
+            content_type, body = "application/json", encode_json(payload)
         head = (f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: application/json\r\n"
+                f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n").encode("latin-1")
         writer.write(head + body)
@@ -633,7 +748,7 @@ class EvalServer:
                 if not line.strip():
                     continue
                 response, shutting_down = await self._line_response(line)
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                writer.write(encode_json(response) + b"\n")
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass

@@ -14,9 +14,11 @@ percentiles interpolate within their bin, so percentile queries against
 archival stores return numbers instead of NaN.
 
 The raw samples are a float64 ``np.ndarray`` in memory — the
-scheduler's completion-minus-admission array, or the store sidecar's
-buffer, passed through without a copy.  They only become a list of
-Python floats at the JSON boundary (:meth:`SimStats.to_dict`).
+scheduler's completion-minus-admission array, or a store sidecar's or
+``/eval`` frame's buffer, passed through without a copy.  Outside
+memory they are packed little-endian float64 (:func:`pack_latencies`),
+and they only become a list of Python floats at the JSON boundary
+(:meth:`SimStats.to_dict`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,25 @@ HIST_BINS_PER_DECADE = 10
 HIST_EDGES_NS = np.logspace(
     HIST_DECADES[0], HIST_DECADES[1],
     (HIST_DECADES[1] - HIST_DECADES[0]) * HIST_BINS_PER_DECADE + 1)
+
+
+def pack_latencies(latencies: np.ndarray) -> bytes:
+    """Per-request latencies as packed little-endian float64 bytes.
+
+    The one binary sample layout: the result store's ``.lat`` sidecar
+    and the ``/eval`` frame's sample blocks.  Packed floats decode
+    orders of magnitude faster than a JSON array and round-trip
+    bit-exactly.
+    """
+    return np.asarray(latencies, dtype="<f8").tobytes()
+
+
+def unpack_latencies(buffer: bytes, count: int = -1,
+                     offset: int = 0) -> np.ndarray:
+    """``count`` packed samples (all, by default) starting ``offset``
+    bytes into ``buffer``, viewed without a copy (read-only when
+    ``buffer`` is ``bytes``)."""
+    return np.frombuffer(buffer, dtype="<f8", count=count, offset=offset)
 
 
 def summarize_latencies(latencies_ns: List[float]) -> Dict[str, Any]:
@@ -248,17 +269,22 @@ class SimStats:
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self, latencies: bool = True) -> Dict[str, Any]:
-        """JSON-serializable dict of every field.
+    def to_dict(self, latencies: bool = True,
+                as_list: bool = True) -> Dict[str, Any]:
+        """Dict of every field, JSON-serializable unless ``as_list``
+        is false.
 
         ``latencies=False`` drops the raw per-request samples (the bulky
         part) and attaches the fixed-bin latency summary in their place,
         so the restored stats still answer mean/percentile/max queries
         (approximately, for percentiles) instead of reporting NaN.
+        ``as_list=False`` leaves the samples (empty without
+        ``latencies``) as the float64 array, for encoders that write
+        them packed, like the ``/eval`` frame.
         """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["latencies_ns"] = (
-            self.latencies_ns.tolist() if latencies else [])
+        samples = self.latencies_ns if latencies else self.latencies_ns[:0]
+        payload["latencies_ns"] = samples.tolist() if as_list else samples
         if not latencies and self.latencies_ns.size \
                 and self.latency_summary is None:
             payload["latency_summary"] = summarize_latencies(
@@ -271,7 +297,8 @@ class SimStats:
 
         Python floats round-trip exactly through ``json`` (repr-based),
         so ``from_dict(json.loads(json.dumps(s.to_dict()))) == s``
-        bit-for-bit.
+        bit-for-bit.  ``latencies_ns`` may also be a float64 array,
+        which is kept without a copy.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in payload.items()

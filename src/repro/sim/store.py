@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..errors import ReproError, SimulationError
 from .engine import EvalTask, TASK_FIELDS, clear_device_caches, device_for
-from .stats import SimStats
+from .stats import SimStats, pack_latencies, unpack_latencies
 from .tracegen import get_workload
 
 #: Bump when the digest payload or entry layout changes incompatibly;
@@ -64,21 +62,6 @@ def _current_umask() -> int:
     umask = os.umask(0)
     os.umask(umask)
     return umask
-
-
-def _pack_latencies(latencies: np.ndarray) -> bytes:
-    """Per-request latencies as little-endian float64 bytes.
-
-    The bulky part of an entry lives in a binary sidecar: packed floats
-    decode orders of magnitude faster than a JSON array (what makes warm
-    sweeps effectively free) and round-trip bit-exactly.
-    """
-    return np.asarray(latencies, dtype="<f8").tobytes()
-
-
-def _unpack_latencies(blob: bytes) -> np.ndarray:
-    """The sidecar's samples, viewing ``blob`` without a copy."""
-    return np.frombuffer(blob, dtype="<f8")
 
 
 _FINGERPRINT_CACHE: Dict[Tuple[str, str], str] = {}
@@ -343,7 +326,7 @@ class ResultStore:
             # always finds complete bytes beside it.
             entry["latencies_count"] = len(stats.latencies_ns)
             self._atomic_write_bytes(self._sidecar_path(path),
-                                     _pack_latencies(stats.latencies_ns))
+                                     pack_latencies(stats.latencies_ns))
         self._atomic_write(path, entry)
         if not with_samples:
             # Re-putting a cell in archival mode must actually reclaim
@@ -620,7 +603,7 @@ class ResultStore:
                 # a freshly computed one (the warm/cold bit-identity
                 # pins).  A count of 0 restores nothing: keep the summary.
                 payload = dict(payload,
-                               latencies_ns=_unpack_latencies(blob),
+                               latencies_ns=unpack_latencies(blob),
                                latency_summary=None)
         return SimStats.from_dict(payload)
 

@@ -6,33 +6,47 @@ endpoint (each accepted connection consumes the next behavior: drop the
 connection, or send canned bytes), so attempt counts are observable and
 deterministic.  The parser tests send responses no well-behaved daemon
 would produce — malformed ``Content-Length``, unbounded header streams,
-a line-protocol reply bigger than the stream limit — and pin that every
+a line-protocol reply bigger than the stream limit, eval replies of the
+wrong shape, truncated or padded ``/eval`` frames — and pin that every
 one surfaces as a structured :class:`SimulationError`, never a raw
-``ValueError``/``LimitOverrunError``.
+``ValueError``/``LimitOverrunError``/``AttributeError``.
 """
 
 import asyncio
 import json
+import math
 import socket
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.client import (DEFAULT_MAX_BACKOFF, DEFAULT_RETRIES,
                               MAX_BODY_BYTES, MAX_HEADER_LINES,
                               NON_IDEMPOTENT_OPS, AsyncEvalClient,
-                              EvalClient, TransportError, _retry_delay)
+                              EvalClient, TransportError, _decode_body,
+                              _retry_delay)
+from repro.sim.engine import EvalTask, task_to_dict
+from repro.sim.server import (FRAME_CONTENT_TYPE, decode_frame,
+                              encode_frame, encode_json)
+from repro.sim.stats import SimStats, summarize_latencies
 
 #: Close the connection without a byte — a daemon dying mid-restart.
 DROP = "drop"
 
+TASK = EvalTask("EPCM-MM", "gcc", 300, 7)
 
-def http_response(payload, status=200):
-    body = json.dumps(payload).encode()
+
+def http_response(payload, status=200, content_type="application/json"):
+    body = payload if isinstance(payload, bytes) \
+        else json.dumps(payload).encode()
     return (f"HTTP/1.1 {status} X\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n").encode() + body
 
@@ -328,3 +342,200 @@ class TestAsyncResponseParser:
                 await server.wait_closed()
 
         assert asyncio.run(scenario()) == payload["stats"]
+
+
+def _stats_row(stats):
+    return {"task": task_to_dict(TASK), "digest": "0" * 64,
+            "source": "computed", "stats": stats}
+
+
+#: Eval replies of the wrong shape, each as the client receives it.
+MALFORMED_EVAL_REPLIES = {
+    "result-not-an-object": http_response({"ok": True, "results": [42]}),
+    "row-without-stats": http_response(
+        {"ok": True, "results": [{"task": task_to_dict(TASK)}]}),
+    "stats-missing-fields": http_response(
+        {"ok": True, "results": [_stats_row({"device_name": "x"})]}),
+    "stats-bad-field-type": http_response(
+        {"ok": True, "results": [_stats_row(
+            {"device_name": "x", "workload_name": "gcc", "num_requests": 1,
+             "num_reads": 1, "num_writes": 0, "total_bytes": 64,
+             "sim_time_ns": "soon", "busy_time_ns": 1.0,
+             "active_time_ns": 1.0})]}),
+    "frame-count-past-end": http_response(
+        json.dumps({"ok": True, "results": [_stats_row(
+            {"latencies_ns": 3})]}).encode() + b"\n" + bytes(16),
+        content_type=FRAME_CONTENT_TYPE),
+}
+
+
+class TestMalformedEvalReplies:
+    """A complete reply of the wrong shape is a structured, unretried
+    error in both clients — never a raw AttributeError/KeyError/
+    TypeError, which would kill a fabric worker with its cell."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_EVAL_REPLIES))
+    def test_sync_client(self, endpoint, name):
+        fake = endpoint([MALFORMED_EVAL_REPLIES[name]])
+        client = EvalClient(fake.address, retries=2, backoff=0.001)
+        with pytest.raises(SimulationError,
+                           match="malformed server reply") as excinfo:
+            client.eval_cell(TASK)
+        assert not isinstance(excinfo.value, TransportError)
+        assert fake.connections == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_EVAL_REPLIES))
+    def test_async_client(self, name):
+        async def scenario(client):
+            with pytest.raises(SimulationError,
+                               match="malformed server reply") as excinfo:
+                await client.eval_cell(TASK)
+            assert not isinstance(excinfo.value, TransportError)
+        _, connections = run_async_endpoint(
+            [MALFORMED_EVAL_REPLIES[name]], scenario)
+        assert connections == 1
+
+
+# -- the /eval frame parser ---------------------------------------------------
+
+#: Samples as a daemon may produce them, plus the floats JSON spells
+#: specially: NaN, both infinities, and negative zero.
+SAMPLES = st.lists(
+    st.floats(allow_nan=False, width=64)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    max_size=24)
+FIELD_FLOATS = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+
+
+@st.composite
+def sim_stats(draw):
+    """A SimStats with raw samples, or with none but a summary (an
+    archival store entry served again)."""
+    samples = draw(SAMPLES)
+    summary = None
+    if not samples and draw(st.booleans()):
+        summary = summarize_latencies(draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e8), min_size=1,
+            max_size=8)))
+    return SimStats(
+        device_name=draw(st.text(max_size=8)),
+        workload_name=draw(st.text(max_size=8)),
+        num_requests=draw(st.integers(0, 10 ** 6)),
+        num_reads=draw(st.integers(0, 10 ** 6)),
+        num_writes=draw(st.integers(0, 10 ** 6)),
+        total_bytes=draw(st.integers(0, 10 ** 9)),
+        sim_time_ns=draw(st.floats(min_value=1e-3, max_value=1e12)),
+        busy_time_ns=draw(FIELD_FLOATS),
+        active_time_ns=draw(FIELD_FLOATS),
+        latencies_ns=samples,
+        op_energy_j=draw(FIELD_FLOATS),
+        row_hits=draw(st.integers(0, 10 ** 6)),
+        latency_summary=summary,
+    )
+
+
+def eval_reply(stats_list, latencies=True):
+    """The reply object ``handle_query`` builds for these stats."""
+    return {"ok": True, "results": [
+        _stats_row(stats.to_dict(latencies=latencies, as_list=False))
+        for stats in stats_list]}
+
+
+def frame_of(stats_list, latencies=True):
+    with np.errstate(all="ignore"):    # summaries of inf/NaN samples
+        return encode_frame(eval_reply(stats_list, latencies))
+
+
+def decoded_stats(reply):
+    return [SimStats.from_dict(row["stats"]) for row in reply["results"]]
+
+
+def canonical(stats):
+    """Every field as JSON text: equal text means equal bits, NaN
+    included (which ``==`` never calls equal)."""
+    return json.dumps(stats.to_dict(), sort_keys=True)
+
+
+class TestFrameParser:
+    """The binary ``/eval`` reply, fuzzed like the HTTP parser above:
+    whatever the bytes, decoding raises SimulationError or returns
+    exactly what was encoded."""
+
+    @given(stats_list=st.lists(sim_stats(), min_size=1, max_size=3),
+           latencies=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_matches_input_and_json_path(self, stats_list,
+                                                    latencies):
+        body = frame_of(stats_list, latencies)
+        with np.errstate(all="ignore"):
+            as_json = encode_json(eval_reply(stats_list, latencies))
+            sent = stats_list if latencies else [
+                replace(stats, latencies_ns=[],
+                        latency_summary=stats.to_dict(
+                            latencies=False)["latency_summary"])
+                for stats in stats_list]
+        # Padding puts the first block on an 8-byte boundary.
+        assert body.index(b"\n") % 8 == 7
+        framed = decoded_stats(_decode_body(body, FRAME_CONTENT_TYPE))
+        listed = decoded_stats(_decode_body(as_json))
+        for expected, got, via_json in zip(sent, framed, listed):
+            assert canonical(got) == canonical(expected) \
+                == canonical(via_json)
+            assert got.latencies_ns.tobytes() \
+                == expected.latencies_ns.tobytes() \
+                == via_json.latencies_ns.tobytes()
+            # A view into the body: read-only, aligned, not a copy.
+            assert not got.latencies_ns.flags.owndata
+            assert not got.latencies_ns.flags.writeable
+            assert got.latencies_ns.flags.aligned
+
+    @given(stats_list=st.lists(sim_stats(), min_size=1, max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_every_truncation_is_structured(self, stats_list):
+        body = frame_of(stats_list)
+        for cut in range(len(body)):
+            with pytest.raises(SimulationError):
+                decode_frame(body[:cut], json.loads)
+
+    @given(stats_list=st.lists(sim_stats(), min_size=1, max_size=2),
+           extra=st.binary(min_size=1, max_size=32))
+    @settings(max_examples=50, deadline=None)
+    def test_trailing_bytes_are_structured(self, stats_list, extra):
+        with pytest.raises(SimulationError, match="after the last"):
+            decode_frame(frame_of(stats_list) + extra, json.loads)
+
+    @given(samples=st.integers(0, 6), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bad_counts_are_structured(self, samples, data):
+        count = data.draw(st.integers(max_value=-1) | st.booleans()
+                          | st.floats() | st.integers(min_value=samples + 1)
+                          | st.none() | st.text(max_size=4), label="count")
+        header = json.dumps({"ok": True, "results": [
+            {"stats": {"latencies_ns": count}}]}).encode()
+        with pytest.raises(SimulationError, match="sample count"):
+            decode_frame(header + b"\n" + bytes(8 * samples), json.loads)
+
+    @given(body=st.binary(max_size=64).filter(lambda raw: b"\n" not in raw))
+    @settings(max_examples=80, deadline=None)
+    def test_missing_header_newline_is_structured(self, body):
+        with pytest.raises(SimulationError, match="no header line"):
+            decode_frame(body, json.loads)
+
+    @given(header=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8).filter(lambda value: not isinstance(value, dict))
+        | st.binary(max_size=32).filter(lambda raw: b"\n" not in raw))
+    @settings(max_examples=120, deadline=None)
+    def test_header_that_is_not_a_json_object_is_structured(self, header):
+        line = header if isinstance(header, bytes) \
+            else json.dumps(header).encode()
+        try:
+            if isinstance(json.loads(line), dict):
+                return      # random bytes that happen to be an object
+        except ValueError:
+            pass
+        with pytest.raises(SimulationError, match="frame header"):
+            decode_frame(line + b"\n", json.loads)

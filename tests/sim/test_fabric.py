@@ -16,8 +16,9 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import engine
 from repro.sim.engine import EvalTask, evaluate_cell
-from repro.sim.fabric import (federate_stats_async, partition_index,
-                              partition_tasks, run_fabric_async)
+from repro.sim.fabric import (StaticMembership, federate_stats_async,
+                              partition_index, partition_tasks,
+                              run_fabric_async)
 from repro.sim.server import EvalServer
 from repro.sim.store import ResultStore, task_digest
 from repro.sim.sweep import SweepSpec, run_sweep
@@ -51,6 +52,43 @@ def run_fleet(scenario, count=2, tmp_path=None, **server_kwargs):
 
 def addresses(servers):
     return [f"http://127.0.0.1:{server.port}" for server in servers]
+
+
+async def start_fake_daemon(eval_reply):
+    """A daemon that is healthy but answers every ``/eval`` with
+    ``eval_reply(query)`` — a reply of the wrong shape, in the tests."""
+    async def handle(reader, writer):
+        request = await reader.readline()
+        length = 0
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode().partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        body = await reader.readexactly(length)
+        payload = {"ok": True} if b"/healthz" in request \
+            else eval_reply(json.loads(body))
+        reply = json.dumps(payload).encode()
+        writer.write(b"HTTP/1.1 200 OK\r\nContent-Type: application/json"
+                     b"\r\nContent-Length: %d\r\nConnection: close"
+                     b"\r\n\r\n" % len(reply) + reply)
+        await writer.drain()
+        writer.close()
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    return server, f"http://127.0.0.1:{server.sockets[0].getsockname()[1]}"
+
+
+#: Malformed eval replies, each a function of the query it answers.
+MALFORMED_REPLIES = {
+    "result-not-an-object": lambda query: {"ok": True, "results": [42]},
+    "row-without-stats": lambda query: {
+        "ok": True, "results": [{"task": query["tasks"][0]}]},
+    "stats-missing-fields": lambda query: {
+        "ok": True, "results": [{"task": query["tasks"][0],
+                                 "stats": {"device_name": "x"}}]},
+}
 
 
 class TestPartitioning:
@@ -178,6 +216,65 @@ class TestFabricDispatch:
                 await run_fabric_async(SPEC, addresses(servers),
                                        retries=0, backoff=0.0,
                                        cell_attempts=2)
+        run_fleet(scenario, workers=1)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_REPLIES))
+    def test_malformed_replies_fail_the_run_within_its_budget(self, shape):
+        """A healthy daemon sending replies of the wrong shape: each
+        attempt is a structured failure, the cell is retried within
+        ``cell_attempts``, and the run ends with the error instead of
+        losing the cell with a dead worker and waiting forever."""
+        async def scenario():
+            server, address = await start_fake_daemon(
+                MALFORMED_REPLIES[shape])
+            try:
+                with pytest.raises(SimulationError,
+                                   match="malformed server reply"):
+                    await asyncio.wait_for(run_fabric_async(
+                        SPEC, [address], retries=0, backoff=0.0,
+                        cell_attempts=2), timeout=30)
+            finally:
+                server.close()
+                await server.wait_closed()
+        asyncio.run(scenario())
+
+    def test_raising_on_result_callback_fails_the_run(self):
+        def explode(task, stats):
+            raise RuntimeError("on_result exploded")
+
+        async def scenario(servers):
+            with pytest.raises(RuntimeError, match="on_result exploded"):
+                await asyncio.wait_for(run_fabric_async(
+                    SPEC, addresses(servers), on_result=explode),
+                    timeout=30)
+        run_fleet(scenario)
+
+    def test_dying_prober_fails_the_run(self, monkeypatch):
+        """A membership source that raises kills the prober, and
+        without it no suspect host would ever be judged again: the run
+        ends with the source's error instead."""
+        real = engine.evaluate_cell
+
+        def delayed(task):
+            time.sleep(0.05)     # keep the run alive past a prober tick
+            return real(task)
+        monkeypatch.setattr(engine, "evaluate_cell", delayed)
+
+        class BreaksAfterLaunch(StaticMembership):
+            elastic = True
+            reads = 0
+
+            def hosts(self):
+                self.reads += 1
+                if self.reads > 1:
+                    raise RuntimeError("membership source broke")
+                return super().hosts()
+
+        async def scenario(servers):
+            with pytest.raises(RuntimeError, match="source broke"):
+                await asyncio.wait_for(run_fabric_async(
+                    SPEC, membership=BreaksAfterLaunch(addresses(servers)),
+                    probe_interval=0.01), timeout=30)
         run_fleet(scenario, workers=1)
 
     def test_federated_stats_tolerates_unreachable_host(self, tmp_path):

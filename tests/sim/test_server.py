@@ -13,12 +13,16 @@ import time
 
 import pytest
 
+from test_client_retry import FakeEndpoint, http_response, run_async_endpoint
+
 from repro.errors import SimulationError
 from repro.sim import engine
 from repro.sim.client import AsyncEvalClient, EvalClient
 from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
-from repro.sim.server import EvalServer, MAX_CELLS_PER_QUERY, _parse_query
-from repro.sim.store import ResultStore
+from repro.sim.server import (EvalServer, FRAME_CONTENT_TYPE,
+                              MAX_CELLS_PER_QUERY, _parse_query,
+                              decode_frame)
+from repro.sim.store import ResultStore, task_digest
 from repro.sim.sweep import SweepSpec
 
 TASK = EvalTask("EPCM-MM", "gcc", 300, 7)
@@ -56,30 +60,51 @@ def slow_compute(monkeypatch, delay=0.25):
     monkeypatch.setattr(engine, "evaluate_cell", delayed)
 
 
-async def raw_http(port, method, path, body=b""):
-    """One raw HTTP exchange → (status, parsed-JSON body).
+async def raw_exchange(port, method, path, body=b"", accept=None):
+    """One raw HTTP exchange → (status, {header: value}, body bytes).
 
     Bypasses the clients on purpose: the malformed-request tests need
-    to send bytes no well-behaved client would produce.
+    to send bytes no well-behaved client would produce, and the
+    negotiation tests choose the ``Accept`` header themselves.
     """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     head = (f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {len(body)}\r\n")
+    if accept is not None:
+        head += f"Accept: {accept}\r\n"
     writer.write(head.encode() + b"\r\n" + body)
     await writer.drain()
     status = int((await reader.readline()).split()[1])
-    length = 0
+    headers = {}
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode().partition(":")
-        if name.strip().lower() == "content-length":
-            length = int(value.strip())
-    payload = json.loads(await reader.readexactly(length))
+        headers[name.strip().lower()] = value.strip()
+    raw = await reader.readexactly(int(headers.get("content-length", 0)))
     writer.close()
     await writer.wait_closed()
-    return status, payload
+    return status, headers, raw
+
+
+async def raw_http(port, method, path, body=b""):
+    """One raw HTTP exchange → (status, parsed-JSON body)."""
+    status, _headers, raw = await raw_exchange(port, method, path, body)
+    return status, json.loads(raw)
+
+
+def eval_body(task, **fields):
+    return json.dumps({"task": task_to_dict(task), **fields}).encode()
+
+
+def expected_reply(task, source="computed", latencies=True):
+    """The reply object a daemon sends for one cell, stats built with
+    ``SimStats.to_dict`` — the JSON wire format."""
+    return {"ok": True, "results": [{
+        "task": task_to_dict(task), "digest": task_digest(task),
+        "source": source,
+        "stats": evaluate_cell(task).to_dict(latencies=latencies)}]}
 
 
 class TestServedResults:
@@ -506,6 +531,110 @@ class TestErrorPaths:
     def test_parse_query_rejects_non_dict_tasks(self):
         with pytest.raises(SimulationError):
             _parse_query({"tasks": ["COMET"]})
+
+
+class TestReplyNegotiation:
+    """The ``Accept`` matrix: a binary frame only for a 200 ``/eval``
+    reply to a request that asks for one; every other reply is the
+    exact JSON it always was."""
+
+    @pytest.mark.parametrize("latencies", [True, False])
+    def test_no_accept_gets_json_bytes_of_the_to_dict_reply(self,
+                                                            latencies):
+        async def scenario(server):
+            return await raw_exchange(server.port, "POST", "/eval",
+                                      eval_body(TASK, latencies=latencies))
+        status, headers, raw = run_scenario(scenario)
+        assert status == 200
+        assert headers["content-type"] == "application/json"
+        assert raw == json.dumps(
+            expected_reply(TASK, latencies=latencies)).encode()
+
+    def test_accept_gets_a_frame_only_on_a_200_eval(self, monkeypatch):
+        real = engine.evaluate_cell
+        calls = {"n": 0}
+
+        def crash_first(task):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise ValueError("synthetic crash")
+            return real(task)
+        monkeypatch.setattr(engine, "evaluate_cell", crash_first)
+        accept = f"application/json, {FRAME_CONTENT_TYPE};q=0.9"
+
+        async def scenario(server):
+            def ask(method, path, body=b""):
+                return raw_exchange(server.port, method, path, body, accept)
+            return {
+                "crashed": await ask("POST", "/eval", eval_body(TASK)),
+                "eval": await ask("POST", "/eval", eval_body(TASK)),
+                "lean": await ask("POST", "/eval",
+                                  eval_body(TASK, latencies=False)),
+                "bad-json": await ask("POST", "/eval", b"{nope"),
+                "bad-arch": await ask("POST", "/eval", json.dumps(
+                    {"task": {"architecture": "NOPE",
+                              "workload": "gcc"}}).encode()),
+                "wrong-method": await ask("GET", "/eval"),
+                "unknown-path": await ask("GET", "/nope"),
+                "stats": await ask("GET", "/stats"),
+                "healthz": await ask("GET", "/healthz"),
+            }
+        replies = run_scenario(scenario)
+        expected = {"crashed": 500, "bad-json": 400, "bad-arch": 400,
+                    "wrong-method": 405, "unknown-path": 404,
+                    "stats": 200, "healthz": 200}
+        for name, status in expected.items():
+            got, headers, raw = replies[name]
+            assert got == status, name
+            assert headers["content-type"] == "application/json", name
+            assert isinstance(json.loads(raw), dict), name
+        direct = evaluate_cell(TASK)
+        for name, source, latencies in (("eval", "computed", True),
+                                        ("lean", "lru", False)):
+            status, headers, raw = replies[name]
+            assert status == 200
+            assert headers["content-type"] == FRAME_CONTENT_TYPE
+            header = json.loads(raw[:raw.index(b"\n")])
+            reply = expected_reply(TASK, source, latencies)
+            row = reply["results"][0]["stats"]
+            row["latencies_ns"] = len(row["latencies_ns"])
+            assert header == json.loads(json.dumps(reply))
+            served = decode_frame(raw, json.loads)["results"][0]["stats"]
+            assert served["latencies_ns"].tobytes() == (
+                direct.latencies_ns.tobytes() if latencies else b"")
+        assert len(replies["lean"][2]) == replies["lean"][2].index(b"\n") + 1
+
+    def test_line_protocol_reply_is_unchanged(self, tmp_path):
+        sock = tmp_path / "eval.sock"
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_unix_connection(str(sock))
+            writer.write(eval_body(TASK) + b"\n")
+            await writer.drain()
+            line = await reader.readline()
+            writer.close()
+            await writer.wait_closed()
+            return line
+        line = run_scenario(scenario, unix_path=sock)
+        assert line == json.dumps(expected_reply(TASK)).encode() + b"\n"
+
+    def test_both_clients_decode_a_json_only_endpoint(self):
+        """A daemon that predates frames ignores ``Accept`` and answers
+        JSON: both clients still decode it bit-identically."""
+        direct = evaluate_cell(TASK)
+        canned = http_response(expected_reply(TASK, source="store"))
+        fake = FakeEndpoint([canned])
+        fake.start()
+        try:
+            assert EvalClient(fake.address).eval_cell(TASK) == direct
+        finally:
+            fake.close()
+
+        async def scenario(client):
+            return await client.eval_cell(TASK)
+        served, connections = run_async_endpoint([canned], scenario)
+        assert served == direct
+        assert connections == 1
 
 
 class TestLineProtocol:
