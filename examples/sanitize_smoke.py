@@ -39,6 +39,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Suites that exercise the compiled twin against the Python reference.
+#: ``test_controller_kernel.py`` also runs the twin from two pool
+#: threads at once, which is what the TSan leg needs to see a race.
 EQUIVALENCE_SUITES = [
     "tests/property/test_kernel_equivalence.py",
     "tests/sim/test_controller_kernel.py",

@@ -1,48 +1,48 @@
-"""Compiled exact-twin scheduler loop for bus/queue-coupled devices.
+"""Compiled exact twin of the scheduler: one GIL-free call per cell.
 
-The shared-bus and global-FIFO recurrences are *irreducibly sequential*:
-the bus serializes every burst through ``finish[i-1]`` while bank
-conflicts couple requests a few indices apart, and which term binds
-alternates every ~2 requests on DRAM traffic.  No prefix-fold
-decomposition (``np.cumsum`` / ``np.maximum.accumulate``) covers that
-without re-associating float additions — which would move results by an
-ulp and break the bit-identity contract the goldens pin.  (The
-contention-free per-bank recurrence *does* decompose, which is why the
-PR 5 kernel vectorizes it; this module is the fast path for everything
-a shared resource couples.)
+:func:`run_cell` hands a whole cell to the C entry ``repro_run_cell``
+in one ``ctypes`` call, which releases the GIL for all of it: the
+sortedness check, bank and row mapping, open-row hits, array service
+times, the bus-turnaround term, the recurrence of the cell's device
+class (per-bank-queue chains, reverting to the global queue when a
+per-bank admission stamp would bind; the global FIFO with or without a
+shared bus and refresh) and the latency reduction.  Python marshals
+arguments, counts the dispatch and assembles ``SimStats``.
 
-So the fast path here is an **exact twin**, not a decomposition: the
-same IEEE-754 double operations in the same order as the scalar Python
-loop, compiled from a few lines of C at first use (``cc`` + ``ctypes``).
-CPython float arithmetic *is* C double arithmetic on the host — ``+``,
-comparisons, and ``%`` on positive floats (plain ``fmod``) map one to
-one — so the compiled loop is bit-identical by construction, with no
-re-association anywhere.  Compilation is guarded: contraction is
-disabled (``-ffp-contract=off``) so no FMA fuses an add into a rounding
-change, and fast-math stays off.
+The bus- and queue-coupled recurrences are *irreducibly sequential*
+(the bus serializes every burst through its predecessor while bank
+conflicts couple requests a few indices apart), so no exact prefix fold
+covers them: re-associating float additions would move results by an
+ulp off the goldens.  The twin is therefore an **exact twin**, not a
+decomposition: the same IEEE-754 double operations in the same order
+as the controller's Python path, which stays as the toolchain-free
+fallback and the oracle the equivalence suites compare against.
+CPython float arithmetic *is* C double arithmetic on the host (``+``,
+``*``, comparisons, ``%`` on positive floats as plain ``fmod``), and
+C's integer ``/`` and ``%`` equal numpy's floor operations on the
+non-negative addresses every trace guarantees, so the twin is
+bit-identical by construction.  Contraction (``-ffp-contract=off``) and
+fast-math stay off.  The C source keeps no static state (scratch
+tables are malloc'd per call), so threads may run cells concurrently.
 
 The library is cached on disk keyed by the SHA-256 of the source, so a
-process pays the compile once ever (pool workers dlopen the cached
-artifact).  A corrupt or truncated cached artifact (a build killed
-mid-copy, a full disk) triggers one rebuild instead of reporting the
-twin gone.  Where no C toolchain exists the module reports itself
-unavailable and the controller's dispatch falls back to the scalar
-recurrence — same results, scalar speed — counted under
-``fallback_toolchain``.  ``REPRO_FASTLOOP=0`` forces that fallback
-deterministically (tests, benchmarks).
+process pays the compile once ever; a corrupt or truncated cached
+artifact triggers one rebuild.  Where no C toolchain exists the module
+reports itself unavailable and the controller falls back to the Python
+path — same results, Python speed — counted under
+``fallback_toolchain``; ``REPRO_FASTLOOP=0`` forces that fallback.
 
-``REPRO_FASTLOOP_SANITIZE=asan,ubsan`` (or ``tsan`` for the threaded
-per-bank path) recompiles the twin with the matching ``-fsanitize=``
-flags into a *separate* cache entry — the sanitizer list salts both the
-source hash and the filename, so an instrumented artifact can never be
-dlopened where the production twin is expected.  ASan twins need the
-runtime preloaded into CPython (``LD_PRELOAD=libasan.so`` plus
-``ASAN_OPTIONS=detect_leaks=0``); without the preload the ASan runtime
-exits the calling process from *inside* dlopen, so sanitized artifacts
-are test-loaded in a throwaway subprocess first and the probe degrades
-to the scalar fallback when they refuse to load.
-``examples/sanitize_smoke.py`` sets the preload up and CI's
-``kernel-sanitize`` job drives the equivalence suite under it.
+``REPRO_FASTLOOP_SANITIZE=asan,ubsan`` (or ``tsan``) recompiles the
+twin with the matching ``-fsanitize=`` flags into a *separate* cache
+entry: the sanitizer list salts both the source hash and the filename.
+ASan twins need the runtime preloaded into CPython
+(``LD_PRELOAD=libasan.so`` plus ``ASAN_OPTIONS=detect_leaks=0``);
+without it the ASan runtime exits the calling process from *inside*
+dlopen, so sanitized artifacts are test-loaded in a throwaway
+subprocess first and the probe degrades to the Python fallback when
+they refuse to load.  ``examples/sanitize_smoke.py`` sets the preload
+up and CI's ``kernel-sanitize`` job drives the equivalence suites
+under it.
 """
 
 from __future__ import annotations
@@ -55,12 +55,14 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ..errors import SimulationError
+
 #: Environment switch: ``0`` disables the compiled loop (the controller
-#: then counts a toolchain fallback and runs the scalar recurrence).
+#: then counts a toolchain fallback and runs the Python path).
 FASTLOOP_ENV_VAR = "REPRO_FASTLOOP"
 
 #: Override for the shared-library cache directory (useful when the
@@ -80,94 +82,236 @@ _SANITIZER_FLAGS = {
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=undefined"),
 }
 
-# One routine covers every device class.  ``per_bank`` selects the
-# contention-free per-bank-queue recurrence (COMET-class photonic
-# parts): a line-for-line transcription of
-# MemoryController._recurrence_per_bank in deadline space, with the
-# per-bank finish history kept in a flat circular buffer (only the
-# entry ``served - bank_queue_depth`` is ever read, so one slot per
-# queue position suffices).  It returns 1 when an admission stamp
-# would bind service — the same admissibility rule as every other
-# tier — and the caller reverts the cell to the global-queue model.
-# Otherwise the global-FIFO branch covers the shared-bus loops (DRAM
-# with refresh, electrical PCM), the unshared loop (COSMOS, per-bank
-# admission fallbacks) and the generic flag combination, transcribed
-# from MemoryController._recurrence_refresh_bus with the same branch
-# structure the other loops specialize away.  Identical operation
-# order is what makes every branch bit-identical, so edits here must
-# track controller.py.
+# Each step transcribes the controller's Python path with identical
+# operation order, so edits here must track controller.py: array_time
+# mirrors _precompute (the service constants arrive pre-folded, COSMOS's
+# write override included), the turnaround term _bus_turn_penalties
+# (numpy's multiply(bool, t)), per_bank_loop _recurrence_per_bank (only
+# the stamp `served - bank_queue_depth` of a bank is ever read, so one
+# slot per queue position suffices), global_loop _recurrence_refresh_bus
+# (whose branches _recurrence_bus / _unshared specialize away), and
+# finish_request _finalize + _stats.  Return codes: 0 served, 1 unsorted
+# arrivals, 2 a negative address, 3 a per-bank stamp bound service with
+# the revert forbidden, 4 out of memory.
 _C_SOURCE = r"""
 #include <math.h>
+#include <stdlib.h>
 
-int repro_schedule_loop(
-    long long n, const long long *bank, const double *array_ns,
-    const double *arrivals, const double *turn,
-    long long queue_depth, long long banks,
-    double burst, int shared_bus, int overlap,
-    int has_refresh, double interval, double duration,
-    int per_bank, long long bank_queue_depth,
-    double *admitted, double *start_out, double *finish,
-    double *bank_free, double *bank_busy, double *busy_total,
-    double *bank_cum, double *bank_peak, long long *bank_served,
-    double *history)
+typedef struct {
+    long long banks;
+    long long map_bytes;         /* bank-interleave granularity */
+    long long row_bytes;         /* row size times banks */
+    long long queue_depth;       /* global transaction queue */
+    long long bank_queue_depth;  /* per-bank slice (per_bank only) */
+    int row_buffer;              /* count row misses */
+    int open_page;               /* track open rows per bank */
+    int per_bank;                /* per-bank-queue chains */
+    int may_revert;              /* binding stamp: global queue here */
+    int shared_bus;
+    int overlap;
+    int has_refresh;
+    double hit_read, hit_write, miss_read, miss_write;
+    double burst, interface_delay, turnaround;
+    double interval, duration;
+} repro_cell_spec;
+
+typedef struct {
+    double first_admitted;
+    double busy;
+    double last_completion;
+    long long reads;
+    long long row_hits;
+    long long row_misses;
+    int reverted;
+} repro_cell_totals;
+
+/* A divisor of non-negative operands: a power of two takes a shift
+   and a mask, which equal C's / and % there and skip a 64-bit divide. */
+typedef struct {
+    long long d;
+    int shift;   /* log2(d), or -1 when d is not a power of two */
+} divisor;
+
+static divisor make_divisor(long long d)
 {
-    if (per_bank) {
-        for (long long i = 0; i < n; i++) {
-            long long b = bank[i];
-            double arrival = arrivals[i];
-            double occupancy = overlap ? array_ns[i]
-                                       : array_ns[i] + burst;
-            double cum_prev = bank_cum[b];
-            double deadline = arrival - cum_prev;
-            double peak = bank_peak[b];
-            if (deadline > peak) {
-                peak = deadline;
-                bank_peak[b] = deadline;
-            }
-            double start = peak + cum_prev;
-            double cum_next = cum_prev + occupancy;
-            double release = peak + cum_next;
-            double fin = overlap ? release + burst : release;
-            long long served = bank_served[b];
-            long long slot = b * bank_queue_depth
-                             + served % bank_queue_depth;
-            double adm = arrival;
-            if (served >= bank_queue_depth) {
-                double stamp = history[slot];
-                if (stamp > adm) adm = stamp;
+    divisor v = {d, -1};
+    if (d > 0 && (d & (d - 1)) == 0)
+        for (v.shift = 0; (1LL << v.shift) != d; v.shift++) {}
+    return v;
+}
+
+static long long quot(divisor v, long long x)
+{
+    return v.shift >= 0 ? x >> v.shift : x / v.d;
+}
+
+static long long rem(divisor v, long long x)
+{
+    return v.shift >= 0 ? x & (v.d - 1) : x % v.d;
+}
+
+typedef struct {
+    const long long *address;
+    const unsigned char *is_read;
+    const double *arrival;
+    double *latency;
+    double *admitted, *start, *finish;   /* 0 unless the object API */
+    divisor map, banks, rows, bank_depth;
+    long long reads, row_hits;
+    double first_admitted, last_completion;
+} cell_io;
+
+/* Bank of request i, its open-row hit and its array service time. */
+static inline double array_time(const repro_cell_spec *s, cell_io *io,
+                                long long i, long long *bank, int *read,
+                                long long *open_row)
+{
+    long long address = io->address[i];
+    long long b = rem(io->banks, quot(io->map, address));
+    int hit = 0;
+    if (s->open_page) {
+        long long row = quot(io->rows, address);
+        hit = open_row[b] == row;
+        open_row[b] = row;
+        io->row_hits += hit;
+    }
+    *bank = b;
+    *read = io->is_read[i] != 0;
+    io->reads += *read;
+    if (*read)
+        return hit ? s->hit_read : s->miss_read;
+    return hit ? s->hit_write : s->miss_write;
+}
+
+/* Completion, latency from admission and the running last completion
+   (NaN-propagating like numpy's max). */
+static inline void finish_request(const repro_cell_spec *s, cell_io *io,
+                                  long long i, double adm, double start,
+                                  double fin)
+{
+    double completion = fin + s->interface_delay;
+    io->latency[i] = completion - adm;
+    if (i == 0) io->first_admitted = adm;
+    if (completion > io->last_completion || completion != completion)
+        io->last_completion = completion;
+    if (io->admitted) {
+        io->admitted[i] = adm;
+        io->start[i] = start;
+        io->finish[i] = fin;
+    }
+}
+
+static void reset_io(cell_io *io)
+{
+    io->reads = 0;
+    io->row_hits = 0;
+    io->last_completion = -INFINITY;
+}
+
+static double sum_busy(const double *busy, long long banks)
+{
+    double total = 0.0;
+    for (long long b = 0; b < banks; b++) total += busy[b];
+    return total;
+}
+
+/* Per-bank-queue chains; 1 when an admission stamp would bind. */
+static int per_bank_loop(const repro_cell_spec *s, cell_io *io,
+                         long long n, double *scratch,
+                         long long *iscratch, double *busy_total)
+{
+    long long banks = s->banks, depth = s->bank_queue_depth;
+    int stamps = depth < n;   /* else no bank ever fills its slice */
+    double *cum = scratch, *peak = cum + banks, *busy = peak + banks;
+    double *history = busy + banks;
+    long long *served = iscratch, *open_row = served + banks;
+    double burst = s->burst;
+    int overlap = s->overlap;
+    reset_io(io);
+    for (long long b = 0; b < banks; b++) {
+        cum[b] = 0.0;
+        peak[b] = -INFINITY;
+        busy[b] = 0.0;
+        served[b] = 0;
+        open_row[b] = -1;
+    }
+    for (long long i = 0; i < n; i++) {
+        long long b;
+        int read;
+        double array_ns = array_time(s, io, i, &b, &read, open_row);
+        double arrival = io->arrival[i];
+        double occupancy = overlap ? array_ns : array_ns + burst;
+        double cum_prev = cum[b];
+        double deadline = arrival - cum_prev;
+        double pk = peak[b];
+        if (deadline > pk) {
+            pk = deadline;
+            peak[b] = deadline;
+        }
+        double start = pk + cum_prev;
+        double cum_next = cum_prev + occupancy;
+        double release = pk + cum_next;
+        double fin = overlap ? release + burst : release;
+        double adm = arrival;
+        if (stamps) {
+            long long k = served[b];
+            double *slot = history + b * depth + rem(io->bank_depth, k);
+            if (k >= depth) {
+                if (*slot > adm) adm = *slot;
                 if (adm > start) return 1;  /* queue binds: revert */
             }
-            history[slot] = fin;
-            bank_served[b] = served + 1;
-            bank_cum[b] = cum_next;
-            bank_busy[b] += release - start;
-            admitted[i] = adm;
-            start_out[i] = start;
-            finish[i] = fin;
+            *slot = fin;
+            served[b] = k + 1;
         }
-        double total = 0.0;
-        for (long long b = 0; b < banks; b++) total += bank_busy[b];
-        *busy_total = total;
-        return 0;
+        cum[b] = cum_next;
+        busy[b] += release - start;
+        finish_request(s, io, i, adm, start, fin);
     }
-    double bus_free = 0.0;
+    *busy_total = sum_busy(busy, banks);
+    return 0;
+}
+
+/* The global-FIFO recurrence: shared bus and refresh as flagged. */
+static void global_loop(const repro_cell_spec *s, cell_io *io,
+                        long long n, double *scratch, long long *iscratch,
+                        double *busy_total)
+{
+    long long banks = s->banks, depth = s->queue_depth;
+    int blocks = depth < n;   /* else the queue never fills */
+    double *bank_free = scratch, *busy = bank_free + banks;
+    double *ring = busy + banks;  /* finish of the last `depth` */
+    long long *open_row = iscratch;
+    long long slot = 0;
+    double bus_free = 0.0, burst = s->burst;
+    double interval = s->interval, duration = s->duration;
+    int shared_bus = s->shared_bus, has_refresh = s->has_refresh;
+    int prev_read = 0;
+    reset_io(io);
+    for (long long b = 0; b < banks; b++) {
+        bank_free[b] = 0.0;
+        busy[b] = 0.0;
+        open_row[b] = -1;
+    }
     for (long long i = 0; i < n; i++) {
-        double adm = arrivals[i];
-        if (i >= queue_depth) {
-            double blocked = finish[i - queue_depth];
+        double adm = io->arrival[i];
+        if (blocks && i >= depth) {
+            double blocked = ring[slot];
             if (blocked > adm) adm = blocked;
         }
-        long long b = bank[i];
+        long long b;
+        int read;
+        double array_ns = array_time(s, io, i, &b, &read, open_row);
         double start = bank_free[b];
         if (adm > start) start = adm;
         if (has_refresh) {
             double pos = fmod(start, interval);
             if (pos < duration) start = (start - pos) + duration;
         }
-        double array_time = array_ns[i];
-        double burst_start = start + array_time;
+        double burst_start = start + array_ns;
         if (shared_bus) {
-            double bus_ready = bus_free + turn[i];
+            double turn = i > 0
+                ? (double)(read != prev_read) * s->turnaround : 0.0;
+            double bus_ready = bus_free + turn;
             if (bus_ready > burst_start) burst_start = bus_ready;
             if (has_refresh) {
                 double pos = fmod(burst_start, interval);
@@ -178,29 +322,134 @@ int repro_schedule_loop(
         double fin = burst_start + burst;
         if (shared_bus) bus_free = fin;
         double release = fin;
-        if (overlap) {
-            double array_done = start + array_time;
+        if (s->overlap) {
+            double array_done = start + array_ns;
             release = array_done > burst_start ? array_done : burst_start;
         }
-        bank_busy[b] += release - start;
+        busy[b] += release - start;
         bank_free[b] = release;
-        admitted[i] = adm;
-        start_out[i] = start;
-        finish[i] = fin;
+        if (blocks) {
+            ring[slot] = fin;
+            if (++slot == depth) slot = 0;
+        }
+        prev_read = read;
+        finish_request(s, io, i, adm, start, fin);
     }
-    double total = 0.0;
-    for (long long b = 0; b < banks; b++) total += bank_busy[b];
-    *busy_total = total;
-    return 0;
+    *busy_total = sum_busy(busy, banks);
+}
+
+int repro_run_cell(
+    long long n, const long long *address, const unsigned char *is_read,
+    const double *arrival, const repro_cell_spec *s,
+    double *latency, double *admitted, double *start, double *finish,
+    repro_cell_totals *totals)
+{
+    for (long long i = 0; i < n; i++) {
+        if (i > 0 && arrival[i] - arrival[i - 1] < 0.0) return 1;
+        if (address[i] < 0) return 2;
+    }
+    long long banks = s->banks;
+    long long history = s->per_bank && s->bank_queue_depth < n
+        ? banks * s->bank_queue_depth : 0;
+    long long ring = s->queue_depth < n ? s->queue_depth : 0;
+    long long tail = history > ring ? history : ring;
+    double *scratch = malloc(sizeof(double) * (3 * banks + tail));
+    long long *iscratch = malloc(sizeof(long long) * 2 * banks);
+    if (!scratch || !iscratch) {
+        free(scratch);
+        free(iscratch);
+        return 4;
+    }
+    cell_io io = {address, is_read, arrival, latency, admitted, start,
+                  finish, make_divisor(s->map_bytes),
+                  make_divisor(banks), make_divisor(s->row_bytes),
+                  make_divisor(s->bank_queue_depth), 0, 0, 0.0, 0.0};
+    int rc = 0;
+    totals->reverted = 0;
+    if (s->per_bank
+            && per_bank_loop(s, &io, n, scratch, iscratch, &totals->busy)) {
+        if (s->may_revert) totals->reverted = 1;
+        else rc = 3;
+    }
+    if (!s->per_bank || totals->reverted)
+        global_loop(s, &io, n, scratch, iscratch, &totals->busy);
+    free(scratch);
+    free(iscratch);
+    totals->first_admitted = io.first_admitted;
+    totals->last_completion = io.last_completion;
+    totals->reads = io.reads;
+    totals->row_hits = io.row_hits;
+    totals->row_misses = s->row_buffer ? n - io.row_hits : 0;
+    return rc;
 }
 """
 
-#: Returned by :func:`schedule_loop` (``per_bank=True``) when an
-#: admission stamp would bind service: the cell must revert to the
-#: global-queue model, exactly as the numpy kernel's ``None`` and the
-#: scalar twin signal.  Distinct from ``None``, which still means "no
-#: compiled twin in this process" (missing toolchain / disabled).
-ADMISSION_BINDS = object()
+
+class CellSpec(ctypes.Structure):
+    """``repro_cell_spec``: one cell's device constants and queue depths.
+
+    The four service times are the array time before the data burst
+    for a (row hit, read) pair — :meth:`RowBufferTiming.service_ns`
+    values, or the fixed occupancies for devices without a row buffer,
+    with a fixed write occupancy replacing both write entries."""
+
+    _fields_ = [
+        ("banks", ctypes.c_longlong),
+        ("map_bytes", ctypes.c_longlong),
+        ("row_bytes", ctypes.c_longlong),
+        ("queue_depth", ctypes.c_longlong),
+        ("bank_queue_depth", ctypes.c_longlong),
+        ("row_buffer", ctypes.c_int),
+        ("open_page", ctypes.c_int),
+        ("per_bank", ctypes.c_int),
+        ("may_revert", ctypes.c_int),
+        ("shared_bus", ctypes.c_int),
+        ("overlap", ctypes.c_int),
+        ("has_refresh", ctypes.c_int),
+        ("hit_read", ctypes.c_double),
+        ("hit_write", ctypes.c_double),
+        ("miss_read", ctypes.c_double),
+        ("miss_write", ctypes.c_double),
+        ("burst", ctypes.c_double),
+        ("interface_delay", ctypes.c_double),
+        ("turnaround", ctypes.c_double),
+        ("interval", ctypes.c_double),
+        ("duration", ctypes.c_double),
+    ]
+
+
+class _CellTotals(ctypes.Structure):
+    _fields_ = [
+        ("first_admitted", ctypes.c_double),
+        ("busy", ctypes.c_double),
+        ("last_completion", ctypes.c_double),
+        ("reads", ctypes.c_longlong),
+        ("row_hits", ctypes.c_longlong),
+        ("row_misses", ctypes.c_longlong),
+        ("reverted", ctypes.c_int),
+    ]
+
+
+class CellResult(NamedTuple):
+    """One scheduled cell, reduced to what ``SimStats`` needs.
+
+    The twin fills the per-request ``admitted`` / ``start`` /
+    ``finish`` times only for the object API (the Python path always
+    has them).  ``reverted`` marks a per-bank cell whose admission
+    stamp bound service, so the global-queue model served it."""
+
+    latencies: np.ndarray
+    admitted: Optional[np.ndarray]
+    start: Optional[np.ndarray]
+    finish: Optional[np.ndarray]
+    first_admitted: float
+    busy: float
+    last_completion: float
+    reads: int
+    row_hits: int
+    row_misses: int
+    reverted: bool = False
+
 
 #: ``None`` = not probed yet; ``False`` = unavailable this process.
 #: Writes hold ``_PROBE_LOCK`` (double-checked: reads stay lock-free).
@@ -269,23 +518,15 @@ def _dlopen(target: Path):
         return None
     try:
         lib = ctypes.CDLL(str(target))
-        fn = lib.repro_schedule_loop
+        fn = lib.repro_run_cell
     except (OSError, AttributeError):
         return None
     fn.restype = ctypes.c_int
     fn.argtypes = [
-        ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.c_longlong, ctypes.c_longlong,
-        ctypes.c_double, ctypes.c_int, ctypes.c_int,
-        ctypes.c_int, ctypes.c_double, ctypes.c_double,
-        ctypes.c_int, ctypes.c_longlong,
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_longlong), ctypes.POINTER(ctypes.c_double),
+        ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.POINTER(CellSpec),
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.POINTER(_CellTotals),
     ]
     return fn
 
@@ -336,7 +577,7 @@ def _load():
     if tokens and not _subprocess_loadable(target):
         # A freshly built artifact that still refuses to load means the
         # sanitizer runtime cannot live in this process (e.g. ASan with
-        # no preload): degrade to the scalar fallback instead of letting
+        # no preload): degrade to the Python fallback instead of letting
         # the in-process dlopen take the interpreter down.
         return None
     fn = _dlopen(target)
@@ -365,9 +606,14 @@ os.register_at_fork(
 
 
 def available() -> bool:
-    """True when the compiled twin can serve schedules in this process."""
+    """True when the compiled twin can serve cells in this process.
+
+    Raises ``ValueError`` on an unknown ``REPRO_FASTLOOP_SANITIZE``
+    token, also under the kill switch: a typo fails loudly on every
+    CI leg."""
     global _LIB, _PROBED
-    # Kill-switch read: forces the bit-identical scalar fallback,
+    sanitize_tokens()
+    # Kill-switch read: forces the bit-identical Python fallback,
     # results cannot move.
     # staticcheck: allow[determinism]
     if os.environ.get(FASTLOOP_ENV_VAR, "1") == "0":
@@ -392,65 +638,48 @@ def reset_probe() -> None:
         _PROBED = False
 
 
-def _as_double_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+def run_cell(addresses: np.ndarray, is_read: np.ndarray,
+             arrivals: np.ndarray, spec: CellSpec,
+             service: bool = False) -> Optional[CellResult]:
+    """Schedule one cell in one GIL-free call into the twin.
 
-
-def schedule_loop(
-    bank_idx: np.ndarray, array_ns: np.ndarray, arrivals: np.ndarray,
-    turn: np.ndarray, queue_depth: int, banks: int, burst: float,
-    shared_bus: bool, overlap: bool, has_refresh: bool,
-    interval: float, duration: float,
-    per_bank: bool = False, bank_queue_depth: int = 1,
-):
-    """Run the compiled twin; ``None`` when unavailable.
-
-    Returns ``(admitted, start, finish, busy)`` bit-identical to the
-    matching ``MemoryController._recurrence_*`` scalar loop.  With
-    ``per_bank=True`` the per-bank-queue recurrence runs instead
-    (``bank_queue_depth`` is the per-bank admission slice); a binding
-    admission stamp returns the :data:`ADMISSION_BINDS` sentinel so the
-    caller can revert the cell to the global-queue model, while ``None``
-    still means the twin itself is unavailable.
+    The caller checks :func:`available` first.  ``service=True`` also
+    returns per-request admission, start and finish times (the object
+    API).
+    Returns ``None`` when a per-bank admission stamp binds service and
+    ``spec.may_revert`` is off, leaving the revert to the caller's
+    Python path.  Raises ``SimulationError`` on unsorted arrivals or a
+    negative address, as the Python path and ``MemRequest`` do.
     """
-    if not available():
-        return None
     n = len(arrivals)
-    bank_c = np.ascontiguousarray(bank_idx, dtype=np.int64)
-    array_c = np.ascontiguousarray(array_ns, dtype=np.float64)
-    arrivals_c = np.ascontiguousarray(arrivals, dtype=np.float64)
-    turn_c = np.ascontiguousarray(turn, dtype=np.float64)
-    admitted = np.empty(n)
-    start = np.empty(n)
-    finish = np.empty(n)
-    bank_free = np.zeros(banks)
-    bank_busy = np.zeros(banks)
-    busy_total = ctypes.c_double(0.0)
-    qd_b = max(1, int(bank_queue_depth)) if per_bank else 1
-    bank_cum = np.zeros(banks if per_bank else 1)
-    bank_peak = np.full(banks if per_bank else 1, -np.inf)
-    bank_served = np.zeros(banks if per_bank else 1, dtype=np.int64)
-    history = np.empty((banks * qd_b) if per_bank else 1)
-    rc = _LIB(
-        ctypes.c_longlong(n),
-        bank_c.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong)),
-        _as_double_ptr(array_c), _as_double_ptr(arrivals_c),
-        _as_double_ptr(turn_c),
-        ctypes.c_longlong(queue_depth), ctypes.c_longlong(banks),
-        ctypes.c_double(burst),
-        ctypes.c_int(1 if shared_bus else 0),
-        ctypes.c_int(1 if overlap else 0),
-        ctypes.c_int(1 if has_refresh else 0),
-        ctypes.c_double(interval), ctypes.c_double(duration),
-        ctypes.c_int(1 if per_bank else 0),
-        ctypes.c_longlong(qd_b),
-        _as_double_ptr(admitted), _as_double_ptr(start),
-        _as_double_ptr(finish), _as_double_ptr(bank_free),
-        _as_double_ptr(bank_busy), ctypes.byref(busy_total),
-        _as_double_ptr(bank_cum), _as_double_ptr(bank_peak),
-        bank_served.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong)),
-        _as_double_ptr(history),
-    )
+    if not len(addresses) == len(is_read) == n:
+        raise ValueError("trace columns must have equal length")
+    if min(spec.banks, spec.map_bytes, spec.row_bytes, spec.queue_depth,
+           spec.bank_queue_depth) < 1:
+        raise ValueError("cell geometry and queue depths must be positive")
+    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+    is_read = np.ascontiguousarray(is_read, dtype=np.bool_)
+    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
+    latencies = np.empty(n)
+    admitted, start, finish = (
+        (np.empty(n), np.empty(n), np.empty(n)) if service
+        else (None, None, None))
+    totals = _CellTotals()
+    rc = _LIB(n, addresses.ctypes.data, is_read.ctypes.data,
+              arrivals.ctypes.data, ctypes.byref(spec), latencies.ctypes.data,
+              *(array.ctypes.data if service else None
+                for array in (admitted, start, finish)),
+              ctypes.byref(totals))
+    if rc == 1:
+        raise SimulationError("requests must be sorted by arrival")
+    if rc == 2:
+        raise SimulationError(
+            f"negative address {int(addresses[addresses < 0][0]):#x}")
+    if rc == 3:
+        return None
     if rc != 0:
-        return ADMISSION_BINDS
-    return admitted, start, finish, busy_total.value
+        raise MemoryError("compiled twin could not allocate its tables")
+    return CellResult(latencies, admitted, start, finish,
+                      totals.first_admitted, totals.busy,
+                      totals.last_completion, totals.reads, totals.row_hits,
+                      totals.row_misses, bool(totals.reverted))

@@ -16,35 +16,37 @@ bank-level parallelism that dominates these comparisons.  (NVMain's
 FR-FCFS reordering mainly improves DRAM row hits; our traces model
 locality directly, so FCFS keeps the comparison symmetric and simple.)
 
-Three execution tiers share one set of semantics:
+One set of semantics, two ways to run it:
 
-* ``run`` / ``run_arrays`` — everything without a cross-request timing
-  dependency (bank/row mapping, open-row hit detection, array service
-  times, per-op energy) is precomputed with numpy in one vectorized
-  pass; the sequential recurrence (queue admission, bank free times,
-  bus ordering, refresh windows) runs as a slim scalar loop specialized
-  per device class (refresh+bus, bus-only, contention-free).
-* ``run_fast`` — the fast-path scheduler *kernels*: three dispatch
-  classes replace the per-request Python loop.  Contention-free devices
-  with per-bank transaction queues (COMET-class photonic parts) compute
-  the whole schedule as independent per-bank chains via grouped
-  ``np.cumsum`` / ``np.maximum.accumulate`` prefix passes — the
-  recurrence genuinely decomposes, so numpy folds cover it.  Shared-bus
-  devices (DRAM, electrical PCM) and global-FIFO contention-free
-  devices (COSMOS) do *not* decompose: the bus serializes every burst
-  through its predecessor while bank conflicts couple requests a few
-  indices apart, and which term binds alternates every couple of
-  requests — an irreducibly sequential chain no exact prefix fold
-  covers (re-associating the float additions would move results off the
-  goldens).  Their kernel is the *compiled exact twin*
-  (:mod:`._fastloop`): the same IEEE-754 operations in the same order
-  as the scalar loop, compiled from C at first use and dispatched via
-  ``ctypes``.  Cells whose device class no kernel covers, or running
-  where no C toolchain exists, fall back to the scalar recurrence
-  automatically; engaged or not, the results are bit-identical to
-  ``run``.
-* ``run_reference`` — the straightforward per-request object loop, kept
-  as the semantics oracle for equivalence tests and benchmarks.
+* **One compiled call per cell** — ``run_arrays`` (and the object API's
+  ``run_fast``) hand each cell to the compiled exact twin
+  (:mod:`._fastloop`) in a single ``ctypes`` call that releases the GIL
+  for the whole cell: sortedness check, bank/row mapping, open-row
+  hits, array service times, bus turnaround, the recurrence of the
+  device's dispatch class (``per_bank`` chains, reverting to the global
+  queue when a per-bank admission stamp would bind; the ``shared_bus``
+  and ``global_queue`` FIFOs) and the latency reduction.  Python only
+  marshals arguments, counts the dispatch and assembles ``SimStats``.
+  The shared-bus and global-FIFO recurrences are irreducibly
+  sequential — the bus serializes every burst through its predecessor
+  while bank conflicts couple requests a few indices apart — so no
+  exact prefix fold covers them; the twin runs the same IEEE-754
+  operations in the same order as the Python path instead, which makes
+  it bit-identical by construction.
+* **The Python path** — the oracle the equivalence suites compare the
+  twin against, and the fallback wherever the twin does not serve a
+  cell (no C toolchain, ``REPRO_FASTLOOP=0``, a disabled dispatch
+  class, ``allow_fast_path=False``).  Everything without a
+  cross-request timing dependency (bank/row mapping, open-row hits,
+  array service times) is precomputed with numpy in one vectorized
+  pass (``_precompute``); the sequential recurrence runs as a slim
+  scalar loop specialized per device class (``_recurrence_*``), except
+  that per-bank cells take the numpy prefix-fold kernel (``_kernel``):
+  that recurrence genuinely decomposes into per-bank chains, which
+  grouped ``np.cumsum`` / ``np.maximum.accumulate`` passes cover.
+  ``fast=False`` pins the scalar loops.  ``run_reference``, the
+  straightforward per-request object loop, stays as an independent
+  semantic check.
 
 **Transaction queues.**  ``queue_depth`` models NVMain's finite
 transaction queue: at most that many requests are in flight; when the
@@ -70,7 +72,8 @@ sum ``C`` and the running peak ``M = max(admitted_k - C_{k-1})``, so
 loops and the vectorized kernel perform these exact floating-point
 operations in the same order (``np.cumsum`` / ``np.maximum.accumulate``
 are sequential left folds), which is what makes the kernel bit-identical
-to the scalar paths rather than merely close.
+to the scalar paths rather than merely close; the twin transcribes
+the same chain arithmetic.
 """
 
 from __future__ import annotations
@@ -271,11 +274,11 @@ class MemoryController:
         requests: List[MemRequest],
         workload_name: str = "trace",
     ) -> SimStats:
-        """``run`` through the fast-path kernel (automatic fallback).
+        """``run`` through the fast-path dispatch (automatic fallback).
 
-        Bit-identical to :meth:`run`; the kernel engages when the device
-        is contention-free with per-bank queues and the admission
-        pre-check passes, otherwise the scalar recurrence runs.
+        Bit-identical to :meth:`run`; the compiled twin serves the cell
+        in one call when its device class is enabled and a C toolchain
+        exists, otherwise the Python tiers do.
         """
         return self._run_requests(requests, workload_name, fast=True)
 
@@ -287,39 +290,12 @@ class MemoryController:
         addresses = np.array([r.address for r in requests], dtype=np.int64)
         is_read = np.array([r.is_read for r in requests], dtype=bool)
         arrivals = np.array([r.arrival_ns for r in requests], dtype=np.float64)
-        schedule = (self._schedule_auto(addresses, is_read, arrivals)
-                    if fast else self._schedule(addresses, is_read, arrivals))
-        return self._finish_run(requests, schedule, workload_name, is_read)
-
-    def run_arrays(self, trace: TraceArrays,
-                   workload_name: Optional[str] = None,
-                   fast: bool = True) -> SimStats:
-        """Simulate a column-store trace without materializing requests.
-
-        The hot path of the evaluation engine: identical stats to
-        ``run(trace.to_requests())``, but no per-request objects are
-        created or mutated (the input arrays are read-only).  ``fast``
-        routes eligible cells through the scheduler kernel (with
-        automatic fallback); ``fast=False`` pins the scalar recurrence,
-        which the kernel benchmark uses as its baseline.
-        """
-        addresses = np.asarray(trace.addresses, dtype=np.int64)
-        is_read = np.asarray(trace.is_read, dtype=bool)
-        arrivals = np.asarray(trace.arrivals_ns, dtype=np.float64)
-        schedule = (self._schedule_auto(addresses, is_read, arrivals)
-                    if fast else self._schedule(addresses, is_read, arrivals))
-        return self._stats(
-            workload_name if workload_name is not None else trace.name,
-            is_read, trace.total_bytes, schedule,
-        )
-
-    def _finish_run(self, requests: List[MemRequest], schedule: _Schedule,
-                    workload_name: str, is_read: np.ndarray) -> SimStats:
-        """Write a schedule back onto the request objects; build stats."""
-        starts = schedule.start_ns.tolist()
-        finishes = schedule.finish_ns.tolist()
-        completions = schedule.completion_ns.tolist()
-        admitted = schedule.admitted_ns.tolist()
+        cell = (self._run_fast(addresses, is_read, arrivals, service=True)
+                if fast else self._run_python(addresses, is_read, arrivals))
+        starts = cell.start.tolist()
+        finishes = cell.finish.tolist()
+        completions = (cell.finish + self.device.interface_delay_ns).tolist()
+        admitted = cell.admitted.tolist()
         for i, request in enumerate(requests):
             request.start_ns = starts[i]
             request.finish_ns = finishes[i]
@@ -329,7 +305,28 @@ class MemoryController:
             # back-pressure, not memory latency.
             request.arrival_ns = admitted[i]
         total_bytes = sum(r.size_bytes for r in requests)
-        return self._stats(workload_name, is_read, total_bytes, schedule)
+        return self._cell_stats(workload_name, total_bytes, cell)
+
+    def run_arrays(self, trace: TraceArrays,
+                   workload_name: Optional[str] = None,
+                   fast: bool = True) -> SimStats:
+        """Simulate a column-store trace without materializing requests.
+
+        The hot path of the evaluation engine: identical stats to
+        ``run(trace.to_requests())``, but no per-request objects are
+        created or mutated (the input arrays are read-only).  ``fast``
+        routes the cell through the fast-path dispatch (with automatic
+        fallback); ``fast=False`` pins the Python scalar recurrence,
+        which the kernel benchmark uses as its baseline.
+        """
+        addresses = np.asarray(trace.addresses, dtype=np.int64)
+        is_read = np.asarray(trace.is_read, dtype=bool)
+        arrivals = np.asarray(trace.arrivals_ns, dtype=np.float64)
+        cell = (self._run_fast(addresses, is_read, arrivals)
+                if fast else self._run_python(addresses, is_read, arrivals))
+        return self._cell_stats(
+            workload_name if workload_name is not None else trace.name,
+            trace.total_bytes, cell)
 
     # ------------------------------------------------------------------
     # schedule dispatch
@@ -340,48 +337,99 @@ class MemoryController:
         if np.any(np.diff(arrivals) < 0.0):
             raise SimulationError("requests must be sorted by arrival")
 
-    def _schedule_auto(self, addresses: np.ndarray, is_read: np.ndarray,
-                       arrivals: np.ndarray) -> _Schedule:
-        """Kernel when eligible, scalar recurrence otherwise."""
-        device = self.device
-        kernel_class = device.fast_path_class
+    def _run_fast(self, addresses: np.ndarray, is_read: np.ndarray,
+                  arrivals: np.ndarray,
+                  service: bool = False) -> _fastloop.CellResult:
+        """Auto dispatch: one compiled call when the twin can serve the
+        cell, the Python tiers otherwise; ``service`` also returns start
+        and finish times (the object API)."""
+        kernel_class = self.device.fast_path_class
         if kernel_class is None or kernel_class in _DISABLED_FAST_CLASSES:
             _count("fallback_device")
-            return self._schedule(addresses, is_read, arrivals)
+            return self._run_python(addresses, is_read, arrivals)
+        if _fastloop.available():
+            if len(arrivals) == 0:
+                raise SimulationError("empty request stream")
+            cell = _fastloop.run_cell(addresses, is_read, arrivals,
+                                      self._twin_spec(kernel_class), service)
+            if cell is not None:
+                if cell.reverted:
+                    # A per-bank admission stamp would have bound
+                    # service: the twin reran the cell on the global
+                    # queue model.
+                    _count("fallback_admission")
+                    _count_fast("global_queue")
+                else:
+                    _count_fast(kernel_class, compiled=True)
+                return cell
+            # The per-bank queue bound while the global-queue class is
+            # disabled: the Python path makes (and counts) the revert.
+        return self._reduce(
+            self._schedule_untwinned(addresses, is_read, arrivals),
+            is_read)
+
+    def _twin_spec(self, kernel_class: str) -> _fastloop.CellSpec:
+        """The device constants the twin reads, folded exactly as
+        ``_precompute`` and ``_bus_turn_penalties`` apply them."""
+        device = self.device
+        row_buffer = device.row_buffer
+        if row_buffer is None:
+            map_bytes, row_bytes, open_page = device.line_bytes, 1, False
+            hit_read = miss_read = float(device.read_occupancy_ns)
+            hit_write = miss_write = float(device.write_occupancy_ns)
+        else:
+            map_bytes = row_buffer.row_size_bytes
+            row_bytes = row_buffer.row_size_bytes * device.banks
+            open_page = row_buffer.is_open_page
+            hit_read = row_buffer.service_ns(True, True)
+            hit_write = row_buffer.service_ns(True, False)
+            miss_read = row_buffer.service_ns(False, True)
+            miss_write = row_buffer.service_ns(False, False)
+            if device.write_occupancy_ns is not None:
+                hit_write = miss_write = float(device.write_occupancy_ns)
+        refresh = device.refresh
+        per_bank = kernel_class == "per_bank"
+        return _fastloop.CellSpec(
+            banks=device.banks, map_bytes=map_bytes, row_bytes=row_bytes,
+            queue_depth=self.queue_depth,
+            bank_queue_depth=self.bank_queue_depth if per_bank else 1,
+            row_buffer=row_buffer is not None, open_page=open_page,
+            per_bank=per_bank,
+            may_revert="global_queue" not in _DISABLED_FAST_CLASSES,
+            shared_bus=device.shared_bus,
+            overlap=device.burst_overlaps_array,
+            has_refresh=refresh is not None,
+            hit_read=hit_read, hit_write=hit_write,
+            miss_read=miss_read, miss_write=miss_write,
+            burst=device.data_burst_ns,
+            interface_delay=device.interface_delay_ns,
+            turnaround=device.bus_turnaround_ns,
+            interval=refresh.interval_ns if refresh is not None else 1.0,
+            duration=refresh.duration_ns if refresh is not None else 0.0,
+        )
+
+    def _schedule_untwinned(self, addresses: np.ndarray,
+                            is_read: np.ndarray,
+                            arrivals: np.ndarray) -> _Schedule:
+        """Auto dispatch without the twin: the numpy prefix-fold kernel
+        for per-bank cells, the scalar recurrences for the rest."""
+        device = self.device
+        kernel_class = device.fast_path_class
         self._check_sorted(arrivals)
         bank_idx, array_ns, row_hits, row_misses = \
             self._precompute(addresses, is_read)
         if kernel_class == "per_bank":
-            # Compiled twin first (GIL-releasing; what the thread pool
-            # scales on), numpy prefix-fold kernel when no C toolchain
-            # exists — either way the cell is a per-bank fast hit.
-            result = self._kernel_per_bank_twin(bank_idx, array_ns,
-                                                arrivals)
-            if result is not None \
-                    and result is not _fastloop.ADMISSION_BINDS:
-                _count_fast("per_bank", compiled=True)
-                return self._finalize(*result, row_hits=row_hits,
-                                      row_misses=row_misses)
-            if result is None:
-                schedule = self._kernel(bank_idx, array_ns, arrivals,
-                                        row_hits, row_misses)
-                if schedule is not None:
-                    _count_fast("per_bank")
-                    return schedule
+            schedule = self._kernel(bank_idx, array_ns, arrivals,
+                                    row_hits, row_misses)
+            if schedule is not None:
+                _count_fast("per_bank")
+                return schedule
             # A per-bank admission stamp would land after its chain
-            # start: the cell reverts to the global-queue model — served
-            # by the global-queue kernel when that class is enabled, by
-            # the scalar loop otherwise.
+            # start: the cell reverts to the global-queue model.
             _count("fallback_admission")
             return self._run_global_queue(bank_idx, array_ns, arrivals,
                                           row_hits, row_misses)
         if kernel_class == "shared_bus":
-            result = self._kernel_shared_bus(bank_idx, array_ns, arrivals,
-                                             is_read)
-            if result is not None:
-                _count_fast("shared_bus")
-                return self._finalize(*result, row_hits=row_hits,
-                                      row_misses=row_misses)
             _count("fallback_toolchain")
             if device.refresh is not None:
                 result = self._recurrence_refresh_bus(
@@ -397,23 +445,24 @@ class MemoryController:
     def _run_global_queue(self, bank_idx: np.ndarray, array_ns: np.ndarray,
                           arrivals: np.ndarray, row_hits: int,
                           row_misses: int) -> _Schedule:
-        """Global-FIFO contention-free schedule, kernel-first.
+        """Global-FIFO contention-free schedule on the Python path.
 
         Shared by the ``global_queue`` dispatch class (COSMOS-style
         devices) and the per-bank admission fallback, which reverts the
         cell to exactly this model."""
-        if "global_queue" not in _DISABLED_FAST_CLASSES:
-            result = self._kernel_global_queue(bank_idx, array_ns, arrivals)
-            if result is not None:
-                _count_fast("global_queue")
-                return self._finalize(*result, row_hits=row_hits,
-                                      row_misses=row_misses)
-            _count("fallback_toolchain")
-        else:
+        if "global_queue" in _DISABLED_FAST_CLASSES:
             _count("fallback_device")
+        else:
+            _count("fallback_toolchain")
         return self._finalize(*self._recurrence_unshared(
             bank_idx, array_ns, arrivals),
             row_hits=row_hits, row_misses=row_misses)
+
+    def _run_python(self, addresses: np.ndarray, is_read: np.ndarray,
+                    arrivals: np.ndarray) -> _fastloop.CellResult:
+        """The scalar recurrence, reduced like a twin cell."""
+        return self._reduce(self._schedule(addresses, is_read, arrivals),
+                            is_read)
 
     def _schedule(self, addresses: np.ndarray, is_read: np.ndarray,
                   arrivals: np.ndarray) -> _Schedule:
@@ -453,6 +502,23 @@ class MemoryController:
             busy_ns=busy,
             row_hits=row_hits,
             row_misses=row_misses,
+        )
+
+    @staticmethod
+    def _reduce(schedule: _Schedule,
+                is_read: np.ndarray) -> _fastloop.CellResult:
+        """The latency reduction the twin does in C, in numpy."""
+        return _fastloop.CellResult(
+            latencies=schedule.completion_ns - schedule.admitted_ns,
+            admitted=schedule.admitted_ns,
+            start=schedule.start_ns,
+            finish=schedule.finish_ns,
+            first_admitted=float(schedule.admitted_ns[0]),
+            busy=schedule.busy_ns,
+            last_completion=float(schedule.completion_ns.max()),
+            reads=int(np.count_nonzero(is_read)),
+            row_hits=schedule.row_hits,
+            row_misses=schedule.row_misses,
         )
 
     def _bank_sort_key(self, bank_idx: np.ndarray) -> np.ndarray:
@@ -548,79 +614,6 @@ class MemoryController:
             busy_ns=sum(busy_banks),
             row_hits=row_hits,
             row_misses=row_misses,
-        )
-
-    # ------------------------------------------------------------------
-    # the compiled exact-twin kernels (shared bus / global queue)
-    #
-    # The bus- and queue-coupled recurrences have no per-bank
-    # decomposition: finish[i] depends on finish[i-1] through the bus
-    # (or on release[lastbank(i)] a few indices back), and which term
-    # binds alternates every couple of requests, so the critical path is
-    # a sequential chain as long as the trace.  Exact prefix folds
-    # cannot cover that without re-associating float additions, which
-    # would move results off the goldens by an ulp.  The kernels below
-    # therefore run the *same* scalar recurrence — identical IEEE-754
-    # operations in identical order — compiled to native code
-    # (:mod:`._fastloop`); bit-identity holds by construction, and when
-    # no C toolchain is available they return ``None`` and the Python
-    # scalar loop serves the cell instead.
-
-    def _kernel_per_bank_twin(self, bank_idx: np.ndarray,
-                              array_ns: np.ndarray, arrivals: np.ndarray):
-        """Per-bank-queue schedule (COMET-class photonic parts) via the
-        compiled exact twin of ``_recurrence_per_bank``.
-
-        Returns ``(admitted, start, finish, busy)``,
-        :data:`._fastloop.ADMISSION_BINDS` when an admission stamp
-        binds service (the caller reverts to the global-queue model),
-        or ``None`` when the toolchain is unavailable (the numpy
-        prefix-fold kernel then serves the cell)."""
-        device = self.device
-        return _fastloop.schedule_loop(
-            bank_idx, array_ns, arrivals, np.zeros(len(arrivals)),
-            queue_depth=self.queue_depth, banks=device.banks,
-            burst=device.data_burst_ns, shared_bus=False,
-            overlap=device.burst_overlaps_array, has_refresh=False,
-            interval=1.0, duration=0.0,
-            per_bank=True, bank_queue_depth=self.bank_queue_depth,
-        )
-
-    def _kernel_shared_bus(self, bank_idx: np.ndarray, array_ns: np.ndarray,
-                           arrivals: np.ndarray, is_read: np.ndarray):
-        """Shared-bus schedule (DRAM, electrical PCM) via the compiled
-        exact twin; returns ``(admitted, start, finish, busy)`` or
-        ``None`` when the toolchain is unavailable."""
-        device = self.device
-        n = len(arrivals)
-        turn = np.zeros(n)
-        if n > 1:
-            np.multiply(is_read[1:] != is_read[:-1],
-                        device.bus_turnaround_ns, out=turn[1:])
-        refresh = device.refresh
-        has_ref = refresh is not None
-        return _fastloop.schedule_loop(
-            bank_idx, array_ns, arrivals, turn,
-            queue_depth=self.queue_depth, banks=device.banks,
-            burst=device.data_burst_ns, shared_bus=True,
-            overlap=device.burst_overlaps_array, has_refresh=has_ref,
-            interval=refresh.interval_ns if has_ref else 1.0,
-            duration=refresh.duration_ns if has_ref else 0.0,
-        )
-
-    def _kernel_global_queue(self, bank_idx: np.ndarray,
-                             array_ns: np.ndarray, arrivals: np.ndarray):
-        """Global-FIFO contention-free schedule (COSMOS-class devices,
-        per-bank admission fallbacks) via the compiled exact twin;
-        returns ``(admitted, start, finish, busy)`` or ``None`` when the
-        toolchain is unavailable."""
-        device = self.device
-        return _fastloop.schedule_loop(
-            bank_idx, array_ns, arrivals, np.zeros(len(arrivals)),
-            queue_depth=self.queue_depth, banks=device.banks,
-            burst=device.data_burst_ns, shared_bus=False,
-            overlap=device.burst_overlaps_array, has_refresh=False,
-            interval=1.0, duration=0.0,
         )
 
     # ------------------------------------------------------------------
@@ -973,12 +966,16 @@ class MemoryController:
     def _stats(self, workload_name: str, is_read: np.ndarray,
                total_bytes: int, schedule: _Schedule) -> SimStats:
         """Assemble SimStats from a computed schedule."""
+        return self._cell_stats(workload_name, total_bytes,
+                                self._reduce(schedule, is_read))
+
+    def _cell_stats(self, workload_name: str, total_bytes: int,
+                    cell: _fastloop.CellResult) -> SimStats:
+        """Assemble SimStats from a reduced cell (twin or Python)."""
         device = self.device
-        n = len(schedule.finish_ns)
-        first_arrival = float(schedule.admitted_ns[0])
-        last_completion = float(schedule.completion_ns.max())
-        sim_time = max(last_completion - first_arrival, 1e-9)
-        busy = schedule.busy_ns
+        n = len(cell.latencies)
+        sim_time = max(cell.last_completion - cell.first_admitted, 1e-9)
+        busy = cell.busy
         # Active power (photonic laser/SOA) is gated per accessed bank, so
         # the device-wide active power scales with the busy-bank fraction —
         # unless the device opts out of gating (always-on laser rail).
@@ -993,11 +990,10 @@ class MemoryController:
             refresh_count = int(sim_time // device.refresh.interval_ns)
             refresh_energy = refresh_count * device.refresh.energy_j
 
-        reads = int(np.count_nonzero(is_read))
+        reads = cell.reads
         writes = n - reads
         op_energy = reads * device.energy.read_energy_j \
             + writes * device.energy.write_energy_j
-        latencies = schedule.completion_ns - schedule.admitted_ns
         return SimStats(
             device_name=device.name,
             workload_name=workload_name,
@@ -1008,14 +1004,14 @@ class MemoryController:
             sim_time_ns=sim_time,
             busy_time_ns=busy,
             active_time_ns=active,
-            latencies_ns=latencies,
+            latencies_ns=cell.latencies,
             op_energy_j=op_energy,
             refresh_energy_j=refresh_energy,
             refresh_count=refresh_count,
             background_power_w=device.energy.background_power_w,
             active_power_w=device.energy.active_power_w,
-            row_hits=schedule.row_hits,
-            row_misses=schedule.row_misses,
+            row_hits=cell.row_hits,
+            row_misses=cell.row_misses,
         )
 
     # ------------------------------------------------------------------

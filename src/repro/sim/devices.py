@@ -175,11 +175,12 @@ class MemoryDeviceModel:
         structure (``None`` = scalar recurrence only).
 
         * ``"per_bank"`` — contention-free with per-bank queues (COMET):
-          the schedule decomposes into independent per-bank chains the
-          vectorized prefix-fold kernel computes.
+          the schedule decomposes into independent per-bank chains,
+          which the compiled exact twin runs (the vectorized
+          prefix-fold kernel where no C toolchain exists).
         * ``"shared_bus"`` — a shared data bus orders every burst (DRAM
-          with refresh, electrical PCM): the compiled exact-twin kernel
-          runs the bus recurrence natively.
+          with refresh, electrical PCM): the compiled exact twin runs
+          the bus recurrence natively.
         * ``"global_queue"`` — contention-free behind one global FIFO
           (COSMOS): the compiled exact twin of the unshared recurrence.
         * ``None`` — refresh without a shared bus (no Fig. 9 device):

@@ -12,9 +12,11 @@ model.  The engine removes both:
   persistent worker pool chosen by the ``pool`` argument (or the
   ``REPRO_POOL`` environment variable): ``"threads"``, ``"fork"`` or
   ``"serial"``.  The default resolves to **threads** whenever the
-  compiled scheduler twin is available — every kernel class now runs
-  in :mod:`._fastloop`, which releases the GIL for the whole
-  recurrence, so threads share the device/controller/trace caches
+  compiled scheduler twin is available — every cell is one call into
+  :mod:`._fastloop`, which releases the GIL for the whole cell
+  (mapping, recurrence and latency reduction alike; only argument
+  marshalling and ``SimStats`` assembly hold it), so threads share the
+  device/controller/trace caches
   directly, pay no fork latency, ship results without pickling, and
   need no shared-memory trace plane at all.  Where the twin is
   unavailable (``REPRO_FASTLOOP=0``, no C toolchain) the default
@@ -402,8 +404,8 @@ def resolve_pool(pool: Optional[str] = None) -> str:
     """Normalize the executor kind: argument > ``REPRO_POOL`` > auto.
 
     Auto resolves to ``threads`` when the compiled scheduler twin is
-    available in this process — every kernel class then runs outside
-    the GIL, so threads scale with none of fork's costs — and to
+    available in this process — every cell then runs outside the GIL,
+    so threads scale with none of fork's costs — and to
     ``fork`` otherwise (the scalar/numpy tiers hold the GIL, so only
     processes parallelize them).
     """
@@ -667,7 +669,7 @@ def _map_tasks_threads(tasks: Sequence[EvalTask], workers: int,
                        count_computed: Callable[[], None]
                        ) -> List[SimStats]:
     """Thread fan-out: the compiled twin releases the GIL for the whole
-    recurrence, so threads scale with zero fork latency, no result
+    cell, so threads scale with zero fork latency, no result
     pickling, shared device/controller caches — and no shared-memory
     trace plane: each distinct trace is generated (or found cached)
     once in this thread, then every worker reads the same arrays."""

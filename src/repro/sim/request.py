@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +46,10 @@ class MemRequest:
     def __post_init__(self) -> None:
         if self.address < 0:
             raise SimulationError(f"negative address {self.address:#x}")
-        if self.arrival_ns < 0.0:
-            raise SimulationError("arrival time must be non-negative")
+        if not (self.arrival_ns >= 0.0 and math.isfinite(self.arrival_ns)):
+            raise SimulationError(
+                f"arrival time must be finite and non-negative, got "
+                f"{self.arrival_ns!r}")
         if self.size_bytes <= 0:
             raise SimulationError("request size must be positive")
 

@@ -76,9 +76,9 @@ class TraceArrays:
     """
 
     name: str
-    addresses: np.ndarray      # int64, byte addresses
+    addresses: np.ndarray      # int64, non-negative byte addresses
     is_read: np.ndarray        # bool
-    arrivals_ns: np.ndarray    # float64, non-decreasing
+    arrivals_ns: np.ndarray    # float64, finite, >= 0, non-decreasing
     line_bytes: int = 128
     thread_ids: Optional[np.ndarray] = None   # int, per-program tag
 
@@ -88,6 +88,21 @@ class TraceArrays:
             raise TraceError("empty trace")
         if len(self.is_read) != n or len(self.arrivals_ns) != n:
             raise TraceError("trace columns must have equal length")
+        # The invariants MemRequest enforces per request: the compiled
+        # twin's C bank mapping equals numpy's floor division only for
+        # non-negative addresses, and a NaN arrival would slip past the
+        # sortedness check into a NaN latency.
+        negative = np.flatnonzero(np.asarray(self.addresses) < 0)
+        if negative.size:
+            raise TraceError(
+                f"negative address {int(self.addresses[negative[0]]):#x} "
+                f"at request {int(negative[0])}")
+        arrivals = np.asarray(self.arrivals_ns, dtype=np.float64)
+        bad = np.flatnonzero(~(np.isfinite(arrivals) & (arrivals >= 0.0)))
+        if bad.size:
+            raise TraceError(
+                f"arrival time must be finite and non-negative, got "
+                f"{float(arrivals[bad[0]])!r} at request {int(bad[0])}")
         for arr in (self.addresses, self.is_read, self.arrivals_ns,
                     self.thread_ids):
             if arr is not None:

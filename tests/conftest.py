@@ -6,15 +6,24 @@ underlying solvers cache by configuration.
 
 Tests marked ``slow`` (full-size evaluation grids) are skipped by
 default so tier-1 stays fast; run them with ``pytest --runslow``.
+
+Every test runs under an environment guard: a test that leaves a
+``REPRO_*`` variable or ``CC`` changed fails, because CI legs are
+configured through exactly those variables (``REPRO_FASTLOOP=0`` is a
+whole leg) and a leaked change silently reconfigures every later test.
+Use ``monkeypatch.setenv`` / ``delenv``, which restore on teardown.
 """
 
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from repro.arch import CometArchitecture
 from repro.device import CellProgrammer, MultiLevelCell, OpticalGstCell
 from repro.materials import get_material
+from repro.sim import _fastloop
 
 
 def pytest_addoption(parser):
@@ -35,6 +44,59 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+def _guarded_environment():
+    return {key: value for key, value in os.environ.items()
+            if key.startswith("REPRO_") or key == "CC"}
+
+
+@pytest.fixture(autouse=True)
+def environment_guard():
+    """Fail any test that leaves ``REPRO_*`` or ``CC`` changed.
+
+    Set up before (and so torn down after) every fixture the test
+    requests, ``monkeypatch`` included, so its restores count."""
+    before = _guarded_environment()
+    yield
+    after = _guarded_environment()
+    leaked = sorted(key for key in before.keys() | after.keys()
+                    if before.get(key) != after.get(key))
+    if leaked:
+        pytest.fail(f"test left environment variables changed: {leaked}; "
+                    f"use monkeypatch.setenv/delenv", pytrace=False)
+
+
+@pytest.fixture
+def expected_dispatch():
+    """``expected(per_bank=, shared_bus=, global_queue=, reverted=,
+    device=)`` -> the exact kernel counters those auto-dispatched cells
+    leave behind in this process's configuration.
+
+    With the compiled twin every enabled class is a compiled hit, and
+    a reverted per-bank cell counts ``fallback_admission`` plus a
+    global-queue hit.  Without it (``REPRO_FASTLOOP=0``, no C
+    toolchain) per-bank cells ride the numpy prefix-fold kernel
+    (``fast_per_bank`` without ``twin_per_bank``) and every other cell,
+    reverted ones included, counts ``fallback_toolchain``.  ``device``
+    counts cells of disabled or ineligible classes."""
+    def expected(per_bank=0, shared_bus=0, global_queue=0, reverted=0,
+                 device=0):
+        twin = _fastloop.available()
+        shared = shared_bus if twin else 0
+        queued = global_queue + reverted if twin else 0
+        return {
+            "fast": per_bank + shared + queued,
+            "fast_per_bank": per_bank,
+            "fast_shared_bus": shared,
+            "fast_global_queue": queued,
+            "twin_per_bank": per_bank if twin else 0,
+            "fallback_device": device,
+            "fallback_admission": reverted,
+            "fallback_toolchain":
+                0 if twin else shared_bus + global_queue + reverted,
+        }
+    return expected
 
 
 @pytest.fixture(scope="session")

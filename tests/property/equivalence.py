@@ -7,8 +7,9 @@ schedule-derived field bit-for-bit; energy to 1e-12 relative, because
 the oracle re-associates its per-request energy sum) — and the strategy
 builders every equivalence suite draws cells from: registered
 architectures (optionally filtered by fast-path kernel class),
-workloads, request counts, seeds, queue-depth overrides and synthetic
-shared-bus device models whose refresh windows real traces straddle.
+workloads, request counts, seeds, queue-depth overrides, synthetic
+shared-bus device models whose refresh windows real traces straddle,
+and synthetic row-buffer device models.
 
 Forced-fallback cells come from two switches, both exercised here:
 :func:`disabled_classes` (process-wide kernel-class disable, restored
@@ -25,7 +26,8 @@ from hypothesis import strategies as st
 
 from repro.sim import controller as controller_mod
 from repro.sim.controller import MemoryController
-from repro.sim.devices import (EnergyModel, MemoryDeviceModel, RefreshSpec)
+from repro.sim.devices import (EnergyModel, MemoryDeviceModel, RefreshSpec,
+                                RowBufferTiming)
 from repro.sim.engine import controller_for
 from repro.sim.factory import build_device, known_architectures
 from repro.sim.tracegen import (TraceArrays, WORKLOAD_NAMES,
@@ -106,6 +108,50 @@ def shared_bus_devices(draw):
         shared_bus=True,
         bus_turnaround_ns=draw(st.floats(min_value=0.0, max_value=9.0)),
         burst_overlaps_array=draw(st.booleans()),
+        energy=EnergyModel(read_energy_j=1e-9, write_energy_j=2e-9),
+    )
+
+
+@st.composite
+def row_buffer_devices(draw):
+    """Synthetic row-buffer devices beyond the presets.
+
+    Puts the compiled twin's open-row table under hypothesis: open and
+    closed pages, bank counts and row sizes that are not powers of two
+    (so the C mapping takes its division path, not the shift), an
+    optional fixed write occupancy over the row-buffer path (COSMOS's
+    override), and every scheduling structure a row buffer can sit
+    behind — per-bank queues, a global FIFO, or a shared bus with
+    optional refresh.
+    """
+    structure = draw(st.sampled_from(("per_bank", "global_queue",
+                                      "shared_bus")))
+    refresh = None
+    if structure == "shared_bus" and draw(st.booleans()):
+        interval = draw(st.floats(min_value=200.0, max_value=4000.0))
+        duration = draw(st.floats(min_value=1.0, max_value=0.4 * interval))
+        refresh = RefreshSpec(interval_ns=interval, duration_ns=duration)
+    write_ns = draw(st.none() | st.floats(min_value=1.0, max_value=500.0))
+    return MemoryDeviceModel(
+        name="synthetic-rows",
+        line_bytes=64,
+        banks=draw(st.integers(min_value=1, max_value=12)),
+        data_burst_ns=draw(st.floats(min_value=1.0, max_value=12.0)),
+        interface_delay_ns=5.0,
+        row_buffer=RowBufferTiming(
+            t_rcd_ns=draw(st.floats(min_value=1.0, max_value=30.0)),
+            t_rp_ns=draw(st.floats(min_value=1.0, max_value=30.0)),
+            t_cas_ns=draw(st.floats(min_value=1.0, max_value=30.0)),
+            t_wr_ns=draw(st.floats(min_value=0.0, max_value=30.0)),
+            row_size_bytes=draw(st.integers(min_value=64,
+                                            max_value=20000)),
+            page_policy=draw(st.sampled_from(("open", "closed")))),
+        write_occupancy_ns=write_ns,
+        refresh=refresh,
+        shared_bus=structure == "shared_bus",
+        bus_turnaround_ns=draw(st.floats(min_value=0.0, max_value=9.0)),
+        burst_overlaps_array=draw(st.booleans()),
+        per_bank_queues=structure == "per_bank",
         energy=EnergyModel(read_energy_j=1e-9, write_energy_j=2e-9),
     )
 

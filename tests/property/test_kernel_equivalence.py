@@ -13,8 +13,6 @@ and scalar tiers plus the bit-for-bit oracle comparison — lives in
 :mod:`equivalence` and is shared with the micro-trace suites.
 """
 
-import os
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,9 +21,9 @@ from repro.sim import controller as controller_mod
 
 from equivalence import (architectures, assert_tiers_identical,
                          disabled_classes, make_cell, make_device_cell,
-                         queue_depths, request_counts, seeds,
-                         shared_bus_devices, workloads, ARCHES_BY_CLASS,
-                         SHARED_BUS_ARCHES)
+                         queue_depths, request_counts, row_buffer_devices,
+                         seeds, shared_bus_devices, workloads,
+                         ARCHES_BY_CLASS, SHARED_BUS_ARCHES)
 
 RELAXED = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -95,6 +93,20 @@ class TestKernelEquivalence:
             make_device_cell(device, "mcf", num_requests, seed % 7 + 1,
                              queue_depth=queue_depth))
 
+    @given(device=row_buffer_devices(),
+           queue_depth=st.integers(min_value=1, max_value=64),
+           num_requests=st.integers(min_value=1, max_value=300),
+           seed=st.integers(min_value=0, max_value=1000))
+    @RELAXED
+    def test_synthetic_row_buffer_devices(self, device, queue_depth,
+                                          num_requests, seed):
+        """Row-buffer devices beyond the presets: open and closed
+        pages, bank counts and row sizes off the powers of two, the
+        fixed write occupancy override, behind every queue structure."""
+        assert_tiers_identical(
+            make_device_cell(device, "mcf", num_requests, seed % 7 + 1,
+                             queue_depth=queue_depth))
+
     @given(banks=st.integers(min_value=1, max_value=9),
            queue_depth=st.integers(min_value=1, max_value=64),
            overlap=st.booleans(),
@@ -156,31 +168,34 @@ class TestForcedFallbacks:
             make_device_cell(pinned, "gcc", num_requests, seed % 5 + 1))
         assert controller_mod.kernel_counters()["fallback_device"] > before
 
-    def test_missing_toolchain_stays_identical(self):
+    def test_missing_toolchain_stays_identical(self, monkeypatch):
         """REPRO_FASTLOOP=0 disables the compiled twin: shared-bus and
-        global-queue cells take the toolchain fallback, bit-identical."""
-        os.environ[_fastloop.FASTLOOP_ENV_VAR] = "0"
-        try:
-            assert not _fastloop.available()
-            before = controller_mod.kernel_counters()["fallback_toolchain"]
-            for arch in ("2D_DDR3", "EPCM-MM", "COSMOS"):
-                assert_tiers_identical(make_cell(arch, "libquantum", 120, 3))
-            assert (controller_mod.kernel_counters()["fallback_toolchain"]
-                    >= before + 3)
-        finally:
-            del os.environ[_fastloop.FASTLOOP_ENV_VAR]
-        assert _fastloop.available()
+        global-queue cells take the toolchain fallback, bit-identical.
+        ``monkeypatch`` restores the caller's setting afterwards, which
+        under the ``REPRO_FASTLOOP=0`` CI leg is that same ``0``."""
+        monkeypatch.setenv(_fastloop.FASTLOOP_ENV_VAR, "0")
+        assert not _fastloop.available()
+        before = controller_mod.kernel_counters()["fallback_toolchain"]
+        for arch in ("2D_DDR3", "EPCM-MM", "COSMOS"):
+            assert_tiers_identical(make_cell(arch, "libquantum", 120, 3))
+        assert (controller_mod.kernel_counters()["fallback_toolchain"]
+                >= before + 3)
 
     def test_fast_cells_were_exercised(self):
         """Sanity on the suite itself: the dispatch counters show every
-        kernel class and every fallback reason ran during this module."""
+        kernel class and every fallback reason ran during this module
+        — the compiled classes only where the twin exists, since
+        without it (the ``REPRO_FASTLOOP=0`` leg) every cell the twin
+        would serve is a toolchain fallback."""
         # One deterministic cell per kernel class, so the assertion
         # never depends on what hypothesis happened to sample above.
         for arch in ("COMET", "2D_DDR3", "COSMOS"):
             assert_tiers_identical(make_cell(arch, "mcf", 64, 2))
         counters = controller_mod.kernel_counters()
+        twin = _fastloop.available()
         assert counters["fast_per_bank"] > 0
-        assert counters["fast_shared_bus"] > 0
-        assert counters["fast_global_queue"] > 0
+        assert (counters["twin_per_bank"] > 0) == twin
+        assert (counters["fast_shared_bus"] > 0) == twin
+        assert (counters["fast_global_queue"] > 0) == twin
         assert counters["fallback_device"] > 0
         assert counters["fallback_toolchain"] > 0

@@ -1,29 +1,35 @@
-"""The fast-path scheduler kernel: engagement, fallback, bit-identity.
+"""The fast-path dispatch: engagement, fallback, bit-identity.
 
-The kernel computes contention-free per-bank-queue schedules with
-grouped prefix passes; these tests pin
+Each cell is one call into the compiled twin (the numpy prefix-fold
+kernel serves per-bank cells where no toolchain exists); these tests pin
 
-* that it engages exactly on the device class it claims (contention
-  free **and** per-bank queues) while the other classes route to their
-  compiled exact-twin kernels (or to the scalar recurrences when a
-  class is disabled),
+* that each device class dispatches where it claims (per-bank chains
+  exactly on contention-free devices with per-bank queues), and to the
+  scalar recurrences when a class is disabled,
 * that engaged or fallback, ``run_fast`` / ``run_arrays(fast=True)``
   are bit-identical to the scalar ``run`` path and schedule-identical
-  to ``run_reference``,
+  to ``run_reference`` — edge cells included: a one-request trace,
+  unsorted arrivals, closed pages, COSMOS's write override,
 * the per-bank admission-stamp semantics (latency measured from the
   bank's own queue slice) including the deterministic reversion to the
-  global-queue model when a stamp would bind service.
+  global-queue model when a stamp would bind service,
+* that two pool threads running the twin at once match a serial run.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
+from repro.sim import _fastloop
 from repro.sim import controller as controller_mod
 from repro.sim.controller import MemoryController
 from repro.sim.devices import EnergyModel, MemoryDeviceModel
-from repro.sim.engine import controller_for
+from repro.sim.engine import (EvalTask, controller_for, evaluate_tasks,
+                              grid_tasks)
 from repro.sim.request import MemRequest, OpType
-from repro.sim.tracegen import cached_trace_arrays
+from repro.sim.tracegen import TraceArrays, cached_trace_arrays
 
 
 def perbank_device(**overrides):
@@ -75,18 +81,20 @@ class TestDispatch:
         ("COSMOS", "global_queue"),
         ("3D_DDR4", "shared_bus"),
         ("EPCM-MM", "shared_bus"),
+        ("3D_DDR4-closed", "shared_bus"),
     ])
-    def test_other_devices_take_their_own_kernels(self, arch, kernel_class):
+    def test_other_devices_take_their_own_kernels(self, arch, kernel_class,
+                                                  expected_dispatch):
         """DRAM/EPCM/COSMOS cells no longer fall back: each dispatches
-        to the compiled exact twin for its timing structure."""
+        to the compiled exact twin for its timing structure (a
+        toolchain fallback where the twin is unavailable)."""
         trace = cached_trace_arrays("gcc", 800, 1)
         controller_for(arch).run_arrays(trace)
-        counters = controller_mod.kernel_counters()
-        assert counters["fast"] == 1
-        assert counters[f"fast_{kernel_class}"] == 1
-        assert counters["fallback_device"] == 0
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(**{kernel_class: 1})
 
-    @pytest.mark.parametrize("arch", ["COSMOS", "3D_DDR4", "EPCM-MM"])
+    @pytest.mark.parametrize("arch", ["COSMOS", "3D_DDR4", "EPCM-MM",
+                                      "3D_DDR4-closed"])
     def test_disabled_classes_fall_back_per_device(self, arch):
         """With every kernel class disabled the old fallback behaviour
         returns: scalar recurrences, one device fallback per cell."""
@@ -108,7 +116,10 @@ class TestDispatch:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("arch", ["COMET", "COMET-thermal", "COSMOS"])
+    # COSMOS: open rows plus the fixed write occupancy that overrides
+    # them; 3D_DDR4-closed: a closed-page row buffer behind the bus.
+    @pytest.mark.parametrize("arch", ["COMET", "COMET-thermal", "COSMOS",
+                                      "3D_DDR4-closed"])
     @pytest.mark.parametrize("workload", ["mcf", "lbm"])
     def test_fast_equals_scalar_equals_reference(self, arch, workload):
         trace = cached_trace_arrays(workload, 2500, 1)
@@ -125,6 +136,39 @@ class TestBitIdentity:
         assert fast.active_time_ns == reference.active_time_ns
         assert fast.op_energy_j == pytest.approx(reference.op_energy_j,
                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("arch", ["COMET", "COSMOS", "2D_DDR3",
+                                      "EPCM-MM", "3D_DDR4-closed"])
+    def test_one_request_trace(self, arch):
+        trace = TraceArrays(name="one", addresses=np.array([4096]),
+                            is_read=np.array([False]),
+                            arrivals_ns=np.array([3.0]))
+        controller = controller_for(arch)
+        fast = controller.run_arrays(trace, fast=True)
+        assert fast.to_dict() \
+            == controller.run_arrays(trace, fast=False).to_dict()
+        reference = controller.run_reference(trace.to_requests(), "one")
+        assert np.array_equal(fast.latencies_ns, reference.latencies_ns)
+        assert fast.busy_time_ns == reference.busy_time_ns
+
+    @pytest.mark.parametrize("arch", ["COMET", "COSMOS", "2D_DDR3"])
+    def test_unsorted_arrivals_fail_alike_on_every_path(self, arch):
+        """The twin's sortedness check raises the Python path's error."""
+        trace = TraceArrays(name="unsorted",
+                            addresses=np.array([0, 128, 256]),
+                            is_read=np.array([True, True, False]),
+                            arrivals_ns=np.array([0.0, 5.0, 4.0]))
+        controller = controller_for(arch)
+        messages = set()
+        for run in (lambda: controller.run_arrays(trace, fast=True),
+                    lambda: controller.run_arrays(trace, fast=False),
+                    lambda: controller.run_fast(trace.to_requests()),
+                    lambda: controller.run(trace.to_requests())):
+            with pytest.raises(SimulationError) as error:
+                run()
+            messages.add(str(error.value))
+        assert messages == {"requests must be sorted by arrival"}
+        assert controller_mod.kernel_counters()["fast"] == 0
 
     def test_run_fast_object_api_matches_run(self):
         trace = cached_trace_arrays("milc", 1200, 3)
@@ -188,16 +232,37 @@ class TestPerBankAdmission:
         assert np.array_equal(fast.latencies_ns,
                               globalq.run(list(burst)).latencies_ns)
 
-    def test_comet_small_queue_override_falls_back(self):
+    def test_comet_small_queue_override_falls_back(self,
+                                                   expected_dispatch):
         """queue_depth overrides below one entry per bank exercise the
         admission fallback on real COMET cells (the sweep's ablation
-        axis), bit-identical to the scalar path."""
+        axis): the twin decides the revert inside its one call, and the
+        cell stays bit-identical to the scalar path."""
         trace = cached_trace_arrays("lbm", 1500, 1)
         controller = controller_for("COMET", queue_depth=8)
         fast = controller.run_arrays(trace, fast=True)
-        assert controller_mod.kernel_counters()["fallback_admission"] == 1
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(reverted=1)
         scalar = controller.run_arrays(trace, fast=False)
         assert fast.to_dict() == scalar.to_dict()
+
+    def test_revert_with_global_queue_class_disabled(self):
+        """With the global-queue class disabled the twin leaves the
+        revert to the Python path, which counts a device fallback."""
+        previous = controller_mod.set_disabled_fast_classes(
+            {"global_queue"})
+        try:
+            trace = cached_trace_arrays("lbm", 1500, 1)
+            controller = controller_for("COMET", queue_depth=8)
+            fast = controller.run_arrays(trace, fast=True)
+            counters = controller_mod.kernel_counters()
+        finally:
+            controller_mod.set_disabled_fast_classes(previous)
+        assert counters["fallback_admission"] == 1
+        assert counters["fallback_device"] == 1
+        assert counters["fast"] == 0
+        assert fast.to_dict() \
+            == controller.run_arrays(trace, fast=False).to_dict()
 
     def test_bank_queue_depth_splits_global_depth(self):
         controller = controller_for("COMET")
@@ -213,17 +278,57 @@ class TestCounters:
         controller_for("COSMOS").run_arrays(trace)
         controller_for("2D_DDR3").run_arrays(trace)
         counters = controller_mod.kernel_counters()
-        assert counters == {"fast": 3,
-                            "fast_per_bank": 1,
-                            # With a toolchain the per-bank cell rides
-                            # the compiled twin (attribution, not an
-                            # extra dispatch).
-                            "twin_per_bank": 1,
-                            "fast_shared_bus": 1,
-                            "fast_global_queue": 1,
-                            "fallback_device": 0,
-                            "fallback_admission": 0,
-                            "fallback_toolchain": 0}
+        if _fastloop.available():
+            # With a toolchain the per-bank cell rides the compiled
+            # twin (attribution, not an extra dispatch).
+            assert counters == {"fast": 3,
+                                "fast_per_bank": 1,
+                                "twin_per_bank": 1,
+                                "fast_shared_bus": 1,
+                                "fast_global_queue": 1,
+                                "fallback_device": 0,
+                                "fallback_admission": 0,
+                                "fallback_toolchain": 0}
+        else:
+            # Without one the numpy prefix-fold kernel serves the
+            # per-bank cell; the other two take the Python path.
+            assert counters == {"fast": 1,
+                                "fast_per_bank": 1,
+                                "twin_per_bank": 0,
+                                "fast_shared_bus": 0,
+                                "fast_global_queue": 0,
+                                "fallback_device": 0,
+                                "fallback_admission": 0,
+                                "fallback_toolchain": 2}
         controller_mod.reset_kernel_counters()
         assert all(v == 0
                    for v in controller_mod.kernel_counters().values())
+
+
+class TestThreadedTwin:
+    def test_thread_pool_grid_matches_serial(self, expected_dispatch):
+        """Two pool threads run the twin at once over a mixed grid —
+        every kernel class, the in-C admission revert, open and closed
+        pages — and every cell equals the serial run bit for bit, while
+        a short switch interval interleaves the threads' Python halves
+        (argument marshalling, counter updates) as often as it can.
+        The sanitizer CI job runs this file under TSan, so a race in
+        the twin fails there."""
+        tasks = grid_tasks(("COMET", "COSMOS", "2D_DDR3", "EPCM-MM",
+                            "3D_DDR4-closed"), ("mcf", "lbm", "gcc"),
+                           num_requests=600, seed=5)
+        tasks.append(EvalTask("COMET", "lbm", 600, 5, queue_depth=8))
+        serial = evaluate_tasks(tasks, workers=1)
+        controller_mod.reset_kernel_counters()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = evaluate_tasks(tasks, workers=2, pool="threads")
+        finally:
+            sys.setswitchinterval(interval)
+        for task in tasks:
+            assert threaded[task].to_dict() == serial[task].to_dict(), \
+                task.describe()
+        # A lost counter update under contention would break this.
+        assert controller_mod.kernel_counters() == expected_dispatch(
+            per_bank=3, shared_bus=9, global_queue=3, reverted=1)

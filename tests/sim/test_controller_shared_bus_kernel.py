@@ -54,6 +54,12 @@ def _trace(addresses, is_read, arrivals):
     )
 
 
+def _delta(before):
+    """Kernel counters dispatched since the ``before`` snapshot."""
+    return {key: value - before[key]
+            for key, value in controller_mod.kernel_counters().items()}
+
+
 def _all_tiers(controller, trace):
     """Run all three tiers; assert fast == scalar completely and the
     oracle bit-for-bit on the schedule; return the fast stats."""
@@ -71,7 +77,7 @@ def _all_tiers(controller, trace):
 class TestHandComputedSchedules:
     """The expected values are derived step by step in the comments."""
 
-    def test_refresh_straddling_bus_trace(self):
+    def test_refresh_straddling_bus_trace(self, expected_dispatch):
         """Refresh windows [0,15) and [100,115) with a shared bus.
 
         qd=8 (never blocks).  Latency = finish + interface(5) - admitted.
@@ -95,7 +101,7 @@ class TestHandComputedSchedules:
         trace = _trace(addresses=[0, 64, 0, 64, 0],
                        is_read=[True, False, False, True, True],
                        arrivals=[0.0, 5.0, 10.0, 12.0, 20.0])
-        before = controller_mod.kernel_counters()["fast_shared_bus"]
+        before = controller_mod.kernel_counters()
         stats = _all_tiers(controller, trace)
         assert stats.latencies_ns.tolist() == [50.0, 59.0, 80.0, 92.0, 110.0]
         # busy: bank0 (45-15)+(85-45)+(125-85)=110, bank1 (59-15)+(99-59)=84
@@ -103,8 +109,7 @@ class TestHandComputedSchedules:
         assert stats.sim_time_ns == 130.0          # completion 130 - admit 0
         assert stats.refresh_count == 1            # int(130 // 100)
         # Three runs: fast tier once, scalar and oracle don't dispatch.
-        assert controller_mod.kernel_counters()["fast_shared_bus"] \
-            == before + 1
+        assert _delta(before) == expected_dispatch(shared_bus=1)
 
     def test_queue_blocking_on_the_bus(self):
         """qd=1: every request waits for its predecessor's finish.
@@ -207,10 +212,12 @@ class TestFallbackTriggers:
         assert after["fallback_device"] == counters["fallback_device"] + 1
         assert after["fast_shared_bus"] == counters["fast_shared_bus"]
 
-    def test_admission_revert_reroutes_to_global_queue_kernel(self):
+    def test_admission_revert_reroutes_to_global_queue_kernel(
+            self, expected_dispatch):
         """A per-bank-queue device whose admission stamps bind (tiny
         queue) reverts to the global-queue schedule: one admission
-        revert plus one global-queue kernel dispatch."""
+        revert plus one global-queue kernel dispatch (a toolchain
+        fallback without the twin)."""
         device = MemoryDeviceModel(
             name="micro-perbank",
             line_bytes=64,
@@ -238,8 +245,4 @@ class TestFallbackTriggers:
         scalar = controller.run_arrays(trace, workload_name="micro",
                                        fast=False)
         assert fast.to_dict() == scalar.to_dict()
-        after = controller_mod.kernel_counters()
-        assert after["fallback_admission"] \
-            == counters["fallback_admission"] + 1
-        assert after["fast_global_queue"] \
-            == counters["fast_global_queue"] + 1
+        assert _delta(counters) == expected_dispatch(reverted=1)

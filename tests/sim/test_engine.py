@@ -235,23 +235,16 @@ class TestKernelDispatchCounters:
     """Per-reason fast-path accounting, pinned exactly across serial
     engine runs (workers=1 keeps the counters in this process)."""
 
-    def test_grid_runs_entirely_on_kernels(self):
+    def test_grid_runs_entirely_on_kernels(self, expected_dispatch):
         """Every cell of this grid dispatches to a kernel: COSMOS to
         the global-queue twin, EPCM/DDR3 to the shared-bus twin —
-        zero fallbacks of any reason."""
+        zero fallbacks of any reason where the twin exists, one
+        toolchain fallback per cell where it does not."""
         controller_mod.reset_kernel_counters()
         run_evaluation(architectures=ARCHS, workloads=WORKLOADS,
                        num_requests=400, seed=7, workers=1)
-        assert controller_mod.kernel_counters() == {
-            "fast": 9,
-            "fast_per_bank": 0,
-            "fast_shared_bus": 6,
-            "fast_global_queue": 3,
-            "twin_per_bank": 0,
-            "fallback_device": 0,
-            "fallback_admission": 0,
-            "fallback_toolchain": 0,
-        }
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(shared_bus=6, global_queue=3)
 
     def test_disabled_classes_count_device_fallbacks(self):
         previous = controller_mod.set_disabled_fast_classes(
@@ -281,30 +274,37 @@ class TestKernelDispatchCounters:
         assert counters["fast"] == 1
         assert counters["fallback_device"] == 0
 
-    def test_admission_revert_is_a_marker_not_a_terminal(self):
+    def test_admission_revert_is_a_marker_not_a_terminal(
+            self, expected_dispatch):
         """A binding per-bank stamp reverts the cell to the global-queue
-        model, which the compiled twin then serves: the revert marker
-        and the terminal kernel dispatch are counted side by side."""
+        model, which the compiled twin then serves (the Python path
+        without it): the revert marker and the terminal outcome are
+        counted side by side."""
         controller_mod.reset_kernel_counters()
         evaluate_cell(EvalTask("COMET", "lbm", 1500, 1, queue_depth=8))
-        counters = controller_mod.kernel_counters()
-        assert counters["fallback_admission"] == 1
-        assert counters["fast_global_queue"] == 1
-        assert counters["fast"] == 1
-        assert counters["fast_per_bank"] == 0
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(reverted=1)
 
     def test_dispatch_summary_reconciles(self):
         controller_mod.reset_kernel_counters()
         run_evaluation(architectures=ARCHS, workloads=WORKLOADS,
                        num_requests=300, seed=2, workers=1)
         summary = kernel_dispatch_summary(controller_mod.kernel_counters())
+        twin = _fastloop.available()
         assert summary["scheduled"] == 9
-        assert summary["fast"] == 9
-        assert summary["hit_rate"] == 1.0
-        assert summary["per_class"] == {
-            "per_bank": 0, "shared_bus": 6, "global_queue": 3}
+        if twin:
+            assert summary["fast"] == 9
+            assert summary["hit_rate"] == 1.0
+            assert summary["per_class"] == {
+                "per_bank": 0, "shared_bus": 6, "global_queue": 3}
+        else:
+            assert summary["fast"] == 0
+            assert summary["hit_rate"] == 0.0
+            assert summary["per_class"] == {
+                "per_bank": 0, "shared_bus": 0, "global_queue": 0}
         assert summary["fallbacks"] == {
-            "device": 0, "toolchain": 0, "admission_reverts": 0}
+            "device": 0, "toolchain": 0 if twin else 9,
+            "admission_reverts": 0}
 
 
 class TestProfileAttribution:

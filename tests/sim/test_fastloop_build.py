@@ -45,17 +45,28 @@ def _probe_in_subprocess(cache):
         env=env, capture_output=True, timeout=180)
 
 
-def _loop_args(per_bank=False):
-    return dict(
-        bank_idx=np.array([0, 1, 0, 1, 0], dtype=np.int64),
-        array_ns=np.array([20.0, 25.0, 20.0, 25.0, 20.0]),
-        arrivals=np.array([0.0, 5.0, 10.0, 12.0, 20.0]),
-        turn=np.array([0.0, 4.0, 0.0, 4.0, 0.0]),
-        queue_depth=2, banks=2, burst=10.0,
-        shared_bus=not per_bank, overlap=False,
-        has_refresh=not per_bank, interval=100.0, duration=15.0,
-        per_bank=per_bank, bank_queue_depth=4,
-    )
+#: One cell per path through the fused entry: per-bank chains, the
+#: in-C revert to the global queue (a queue slice under one entry per
+#: bank), the shared bus with refresh and open rows, closed page, and
+#: COSMOS's global queue with its write-occupancy override.
+_CELLS = (("COMET", None), ("COMET", 8), ("2D_DDR3", None),
+          ("3D_DDR4-closed", None), ("COSMOS", None))
+
+
+def _run_cells():
+    """Every output of the fused entry for each of ``_CELLS``."""
+    from repro.sim.engine import controller_for
+    from repro.sim.tracegen import cached_trace_arrays
+    trace = cached_trace_arrays("mcf", 600, 3)
+    results = []
+    for arch, queue_depth in _CELLS:
+        controller = (controller_for(arch) if queue_depth is None
+                      else controller_for(arch, queue_depth=queue_depth))
+        spec = controller._twin_spec(controller.device.fast_path_class)
+        results.append(_fastloop.run_cell(
+            trace.addresses, trace.is_read, trace.arrivals_ns, spec,
+            service=True))
+    return results
 
 
 class TestSanitizeTokens:
@@ -88,6 +99,14 @@ class TestSanitizeTokens:
         finally:
             _fastloop.reset_probe()
 
+    def test_unknown_token_fails_under_the_kill_switch(self, monkeypatch):
+        """The token is parsed before ``REPRO_FASTLOOP=0`` is honored,
+        so a typo fails the toolchain-free CI leg too."""
+        monkeypatch.setenv(_fastloop.FASTLOOP_ENV_VAR, "0")
+        monkeypatch.setenv(_fastloop.SANITIZE_ENV_VAR, "tsna")
+        with pytest.raises(ValueError, match="tsna"):
+            _fastloop.available()
+
 
 @requires_cc
 class TestBuildCache:
@@ -119,11 +138,12 @@ class TestBuildCache:
     def test_ubsan_build_is_separate_and_bit_identical(self, fresh_cache,
                                                        monkeypatch):
         """The UBSan twin lands in its own cache entry (distinct digest
-        *and* a human-readable suffix) and returns results bit-identical
-        to the production twin on both recurrence shapes."""
+        *and* a human-readable suffix) and its fused cell entry returns
+        results bit-identical to the production twin on every path:
+        every output array, busy time and the other totals."""
         assert _fastloop.available()
-        baseline = {per_bank: _fastloop.schedule_loop(
-            **_loop_args(per_bank)) for per_bank in (False, True)}
+        baseline = _run_cells()
+        assert any(cell.reverted for cell in baseline)
 
         monkeypatch.setenv(_fastloop.SANITIZE_ENV_VAR, "ubsan")
         _fastloop.reset_probe()
@@ -137,12 +157,13 @@ class TestBuildCache:
         assert prod and sanitized
         assert prod[0][:25] != sanitized[0][:25]  # digests differ too
 
-        for per_bank in (False, True):
-            got = _fastloop.schedule_loop(**_loop_args(per_bank))
-            want = baseline[per_bank]
-            for got_arr, want_arr in zip(got[:3], want[:3]):
-                assert np.array_equal(got_arr, want_arr)
-            assert got[3] == want[3]
+        for got, want in zip(_run_cells(), baseline):
+            for name in ("latencies", "admitted", "start", "finish"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+            # first admission, busy, last completion, reads, row
+            # hits/misses, reverted
+            assert got[4:] == want[4:]
 
     def test_asan_without_preload_degrades_to_unavailable(self,
                                                           fresh_cache,

@@ -2,9 +2,12 @@
 
 import io
 
+import numpy as np
 import pytest
 
-from repro.errors import SimulationError, TraceError
+from repro.errors import ReproError, SimulationError, TraceError
+from repro.sim import _fastloop
+from repro.sim.engine import controller_for
 from repro.sim.request import MemRequest, OpType
 from repro.sim.trace import (
     TraceReader,
@@ -13,6 +16,7 @@ from repro.sim.trace import (
     parse_trace_line,
     roundtrip,
 )
+from repro.sim.tracegen import TraceArrays
 
 
 class TestRequest:
@@ -35,6 +39,40 @@ class TestRequest:
             MemRequest(address=0, op=OpType.READ, arrival_ns=-1.0)
         with pytest.raises(SimulationError):
             MemRequest(address=0, op=OpType.READ, arrival_ns=0.0, size_bytes=0)
+
+    @pytest.mark.parametrize("address,arrival", [
+        (-128, 0.0), (0, -1.0), (0, float("nan")), (0, float("inf")),
+        (0, float("-inf")),
+    ])
+    def test_both_apis_reject_the_same_inputs(self, address, arrival):
+        """The column store and the request objects share one set of
+        input invariants: non-negative addresses (the compiled twin's
+        bank mapping relies on it) and finite, non-negative arrivals (a
+        NaN slips past the sortedness check into a NaN latency)."""
+        with pytest.raises(SimulationError) as object_error:
+            MemRequest(address=address, op=OpType.READ, arrival_ns=arrival)
+        with pytest.raises(TraceError) as array_error:
+            TraceArrays(name="bad",
+                        addresses=np.array([0, address], dtype=np.int64),
+                        is_read=np.array([True, True]),
+                        arrivals_ns=np.array([0.0, arrival]))
+        for error in (object_error.value, array_error.value):
+            assert isinstance(error, ReproError)
+            assert ("negative address -0x80" in str(error)
+                    if address < 0 else "arrival time" in str(error))
+        assert "at request 1" in str(array_error.value)
+
+    def test_twin_rejects_a_negative_address_it_is_handed(self):
+        """A duck-typed trace that skips the TraceArrays invariants gets
+        a structured error from the compiled entry, never a bank index
+        outside its tables."""
+        controller = controller_for("COMET")
+        if not _fastloop.available():
+            pytest.skip("no C toolchain in this environment")
+        spec = controller._twin_spec("per_bank")
+        with pytest.raises(SimulationError, match="negative address -0x80"):
+            _fastloop.run_cell(np.array([0, -128]), np.array([True, True]),
+                               np.array([0.0, 1.0]), spec)
 
     def test_op_token_parsing(self):
         assert OpType.from_token("R") is OpType.READ

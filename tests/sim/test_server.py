@@ -718,7 +718,8 @@ class TestHttpMisc:
                     "workers", "executor"):
             assert key in stats["stats"]
 
-    def test_stats_kernel_counts_process_pool_dispatches(self):
+    def test_stats_kernel_counts_process_pool_dispatches(
+            self, expected_dispatch):
         """Satellite of the pool abstraction: a process-pool server
         merges the workers' per-cell kernel-counter deltas, so
         /stats.kernel no longer reads zero for fanned-out computes."""
@@ -735,8 +736,7 @@ class TestHttpMisc:
         if stats is None:
             pytest.skip("process pools unavailable in this sandbox")
         assert stats["executor"] == "process"
-        assert stats["kernel"]["fast"] == 1
-        assert stats["kernel"]["fast_shared_bus"] == 1
+        assert stats["kernel"] == expected_dispatch(shared_bus=1)
 
     def test_http_shutdown_endpoint(self):
         async def scenario():

@@ -168,7 +168,8 @@ class TestPersistentPool:
             for workload, stats in per_workload.items():
                 assert parallel[arch][workload].to_dict() == stats.to_dict()
 
-    def test_fork_pool_merges_worker_dispatch_counters(self):
+    def test_fork_pool_merges_worker_dispatch_counters(
+            self, expected_dispatch):
         """Workers dispatch in their own process; the parent must see
         the merged per-cell counter deltas (the pre-pool-abstraction
         engine reported zero kernel hits for every fanned-out cell)."""
@@ -182,12 +183,8 @@ class TestPersistentPool:
         run_evaluation(architectures=("EPCM-MM", "COMET", "COSMOS"),
                        workloads=("gcc", "mcf"), num_requests=200,
                        workers=2, pool="fork")
-        counters = controller_mod.kernel_counters()
-        assert counters["fast"] == 6
-        assert counters["fast_per_bank"] == 2
-        assert counters["twin_per_bank"] == 2
-        assert counters["fast_shared_bus"] == 2
-        assert counters["fast_global_queue"] == 2
+        assert controller_mod.kernel_counters() == expected_dispatch(
+            per_bank=2, shared_bus=2, global_queue=2)
 
     def test_clear_device_caches_tears_everything_down(self):
         run_evaluation(architectures=("EPCM-MM",), workloads=("gcc",),
