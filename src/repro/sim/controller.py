@@ -341,8 +341,8 @@ class MemoryController:
                   arrivals: np.ndarray,
                   service: bool = False) -> _fastloop.CellResult:
         """Auto dispatch: one compiled call when the twin can serve the
-        cell, the Python tiers otherwise; ``service`` also returns start
-        and finish times (the object API)."""
+        cell, the Python tiers otherwise; ``service`` also returns
+        admission, start and finish times (the object API)."""
         kernel_class = self.device.fast_path_class
         if kernel_class is None or kernel_class in _DISABLED_FAST_CLASSES:
             _count("fallback_device")

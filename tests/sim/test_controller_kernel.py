@@ -178,9 +178,17 @@ class TestBitIdentity:
         assert fast.to_dict() == scalar.to_dict()
         assert controller_mod.kernel_counters()["fast"] == 1
 
-    def test_request_objects_get_identical_service_fields(self):
+    # Every dispatch class through the object API, plus the per-bank
+    # cell the twin reverts to the global queue (queue_depth=8).
+    @pytest.mark.parametrize("arch,queue_depth", [
+        ("COMET", None), ("COMET", 8), ("COSMOS", None),
+        ("2D_DDR3", None), ("EPCM-MM", None), ("3D_DDR4-closed", None),
+    ])
+    def test_request_objects_get_identical_service_fields(self, arch,
+                                                          queue_depth):
         trace = cached_trace_arrays("omnetpp", 600, 2)
-        controller = controller_for("COMET")
+        controller = (controller_for(arch) if queue_depth is None
+                      else controller_for(arch, queue_depth=queue_depth))
         via_fast = trace.to_requests()
         via_scalar = trace.to_requests()
         controller.run_fast(via_fast, "omnetpp")
