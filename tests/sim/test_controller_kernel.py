@@ -178,17 +178,9 @@ class TestBitIdentity:
         assert fast.to_dict() == scalar.to_dict()
         assert controller_mod.kernel_counters()["fast"] == 1
 
-    # Every dispatch class through the object API, plus the per-bank
-    # cell the twin reverts to the global queue (queue_depth=8).
-    @pytest.mark.parametrize("arch,queue_depth", [
-        ("COMET", None), ("COMET", 8), ("COSMOS", None),
-        ("2D_DDR3", None), ("EPCM-MM", None), ("3D_DDR4-closed", None),
-    ])
-    def test_request_objects_get_identical_service_fields(self, arch,
-                                                          queue_depth):
+    @staticmethod
+    def _assert_identical_service_fields(controller):
         trace = cached_trace_arrays("omnetpp", 600, 2)
-        controller = (controller_for(arch) if queue_depth is None
-                      else controller_for(arch, queue_depth=queue_depth))
         via_fast = trace.to_requests()
         via_scalar = trace.to_requests()
         controller.run_fast(via_fast, "omnetpp")
@@ -196,6 +188,21 @@ class TestBitIdentity:
         for a, b in zip(via_fast, via_scalar):
             assert (a.arrival_ns, a.start_ns, a.finish_ns, a.completion_ns) \
                 == (b.arrival_ns, b.start_ns, b.finish_ns, b.completion_ns)
+
+    def test_request_objects_get_identical_service_fields(self):
+        self._assert_identical_service_fields(controller_for("COMET"))
+
+    # Every other dispatch class through the object API, plus the
+    # per-bank cell the twin reverts to the global queue (queue_depth=8).
+    @pytest.mark.parametrize("arch,queue_depth", [
+        ("COMET", 8), ("COSMOS", None), ("2D_DDR3", None),
+        ("EPCM-MM", None), ("3D_DDR4-closed", None),
+    ])
+    def test_service_fields_identical_per_dispatch_class(self, arch,
+                                                         queue_depth):
+        self._assert_identical_service_fields(
+            controller_for(arch) if queue_depth is None
+            else controller_for(arch, queue_depth=queue_depth))
 
 
 class TestPerBankAdmission:
