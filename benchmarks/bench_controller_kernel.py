@@ -1,35 +1,29 @@
-"""Bench the fast-path scheduler kernels and the cold-grid pipeline.
+"""Bench the compiled scheduler twin against its Python mirror.
 
-Three acceptance gates ride this file:
+Three acceptance gates ride this file, each timing the shipping
+``run_arrays()`` (one compiled call per cell) against
+``run_arrays(fast=False)`` (the Python mirror of the same algorithm,
+which is also the toolchain-free fallback):
 
-* **Kernel gate** — on COMET-class cells (contention-free, per-bank
-  queues) at n >= 20k, the grouped-prefix-pass kernel must beat the
-  scalar per-bank recurrence it replaces by >= 5x, while remaining
-  bit-identical to it.  Measured at ``KERNEL_N`` = 65536 requests per
-  cell (the kernel's fixed grouping overhead amortizes with n; the
-  per-cell numbers at 20480 are reported alongside).
-* **Shared-bus grid gate** — the whole cold SPEC grid with every kernel
-  class enabled against the *PR 5 dispatch set* (per-bank kernel only;
-  shared-bus and global-queue cells on the scalar recurrence),
-  reconstructed live via ``set_disabled_fast_classes``.  The compiled
-  exact-twin kernels must carry the whole grid to >= 3x.
-* **Cold-grid gate** — a cold full-SPEC-grid pass against the PR 4
-  baseline (every cell scheduled by the previous general global-queue
-  scalar recurrence).  The *photonic half* of the grid (COMET + COSMOS
-  cells, the cells the paper's architecture arguments are about) must
-  come out >= 1.5x faster; the whole grid keeps its >= 1.05x floor
-  from PR 5 (now comfortably exceeded — the exact-twin kernels lifted
-  the DRAM/EPCM cells too).
+* **Kernel gate** — on the COMET SPEC cells (contention-free, per-bank
+  queues) at ``KERNEL_N`` = 65536 requests per cell, the twin must be
+  >= 5x faster than the mirror while returning identical stats (the
+  numbers at 20480 requests are reported alongside).
+* **Cold-grid gate** — the cold full-SPEC Fig. 9 grid (device builds
+  and traces paid up front, best of three passes per architecture):
+  the whole grid must come out >= 3x faster than the mirror, its
+  *photonic half* (COMET + COSMOS cells, the cells the paper's
+  architecture arguments are about) >= 1.5x, with every cell a
+  compiled hit (hit rate 1.0).
 * **Pool gate** — the warm full grid (every registered architecture x
   SPEC workload) through the engine's thread pool must be bit-identical
   to serial, at least match fork-pool throughput, and run at a 100%
-  compiled-kernel hit rate (per-bank cells dispatch to the compiled
-  exact twin, counted by ``twin_per_bank``).
+  compiled hit rate (every cell counted ``fast``).
 
 ``main()`` (or the ``BENCH_KERNEL_JSON`` env var under pytest) writes
-``BENCH_kernel.json`` — cold-grid wall times, per-class fast-path hit
-rates and the speedups — which CI archives and gates against the
-committed reference copy (hit-rate regression).
+``BENCH_kernel.json`` — wall times, speedups, per-class hit rates and
+fallbacks — which CI archives and gates against the committed reference
+copy (hit-rate regression).
 
 Runs standalone::
 
@@ -44,16 +38,15 @@ import sys
 import time
 from typing import Dict
 
-import numpy as np
-
+from repro.sim import _fastloop
 from repro.sim import controller as controller_mod
 from repro.sim.engine import controller_for, run_evaluation
 from repro.sim.factory import ARCHITECTURE_NAMES, known_architectures
 from repro.sim.stats import kernel_dispatch_summary
 from repro.sim.tracegen import SPEC_WORKLOADS, cached_trace_arrays
 
-#: Gate operating point for the kernel (n >= 20k per the acceptance
-#: criterion) and the comparison point reported alongside.
+#: Gate operating point for the kernel gate and the comparison point
+#: reported alongside.
 KERNEL_N = 65536
 KERNEL_N_SMALL = 20480
 
@@ -72,97 +65,64 @@ def _timeit(fn, repeats: int) -> float:
     return best
 
 
-def measure_kernel(n: int, repeats: int = 3) -> Dict[str, float]:
-    """Kernel vs scalar per-bank recurrence on the COMET SPEC cells.
+def _require_twin() -> None:
+    assert _fastloop.available(), (
+        "the compiled twin did not load (no C toolchain, or "
+        "REPRO_FASTLOOP=0): these gates measure it against the mirror")
 
-    Times exactly the recurrence swap (shared precompute hoisted out),
-    and re-verifies bit-identity of the full stats on every cell.
-    """
+
+def measure_twin(n: int, repeats: int = 3) -> Dict[str, float]:
+    """Twin vs mirror on the COMET SPEC cells, stats checked equal."""
+    _require_twin()
     controller = controller_for("COMET")
-    scalar_s = 0.0
-    kernel_s = 0.0
+    mirror_s = 0.0
+    twin_s = 0.0
     for name in sorted(SPEC_WORKLOADS):
         trace = cached_trace_arrays(name, n, 1)
-        addresses = np.asarray(trace.addresses, dtype=np.int64)
-        is_read = np.asarray(trace.is_read, dtype=bool)
-        arrivals = np.asarray(trace.arrivals_ns, dtype=np.float64)
-        bank_idx, array_ns, row_hits, row_misses = \
-            controller._precompute(addresses, is_read)
-        # Warm both paths once (first touch pays page faults on the
-        # fresh trace arrays) before taking best-of-N timings.
-        controller._kernel(bank_idx, array_ns, arrivals,
-                           row_hits, row_misses)
-        controller._recurrence_per_bank(bank_idx, array_ns, arrivals)
-        kernel_s += _timeit(
-            lambda: controller._kernel(bank_idx, array_ns, arrivals,
-                                       row_hits, row_misses), repeats)
-        scalar_s += _timeit(
-            lambda: controller._recurrence_per_bank(bank_idx, array_ns,
-                                                    arrivals), repeats)
-        fast = controller.run_arrays(trace, workload_name=name, fast=True)
+        # The first pass of each path also pays page faults on the
+        # fresh trace arrays; it doubles as the bit-identity check.
+        fast = controller.run_arrays(trace, workload_name=name)
         slow = controller.run_arrays(trace, workload_name=name, fast=False)
         assert fast.to_dict() == slow.to_dict(), (name, n)
-    return {"n": n, "scalar_s": scalar_s, "kernel_s": kernel_s,
-            "speedup": scalar_s / kernel_s}
+        twin_s += _timeit(lambda: controller.run_arrays(trace), repeats)
+        mirror_s += _timeit(
+            lambda: controller.run_arrays(trace, fast=False), repeats)
+    return {"n": n, "mirror_s": mirror_s, "twin_s": twin_s,
+            "speedup": mirror_s / twin_s}
 
 
-def _legacy_cell(controller, trace, name):
-    """One cell through the PR 4 scheduling path: the general
-    global-queue scalar recurrence for every device class."""
-    addresses = np.asarray(trace.addresses, dtype=np.int64)
-    is_read = np.asarray(trace.is_read, dtype=bool)
-    arrivals = np.asarray(trace.arrivals_ns, dtype=np.float64)
-    bank_idx, array_ns, row_hits, row_misses = \
-        controller._precompute(addresses, is_read)
-    schedule = controller._finalize(
-        *controller._recurrence_generic(bank_idx, array_ns, arrivals,
-                                        is_read),
-        row_hits=row_hits, row_misses=row_misses)
-    return controller._stats(name, is_read, trace.total_bytes, schedule)
-
-
-def measure_cold_grid(n: int = GRID_N, repeats: int = 3) -> Dict[str, float]:
-    """Cold full-SPEC grid: new pipeline vs the PR 4 baseline.
+def measure_cold_grid(n: int = GRID_N, repeats: int = 3) -> Dict[str, object]:
+    """Cold full-SPEC grid: the twin vs the mirror, per architecture.
 
     Per-architecture timings take the best of ``repeats`` passes —
     single-pass wall times on shared CI runners are noisy enough to
     wobble the photonic ratio across its gate.
     """
+    _require_twin()
     for arch in ARCHITECTURE_NAMES:
         controller_for(arch)          # device builds are one-time work
     names = sorted(SPEC_WORKLOADS)
     for name in names:
         cached_trace_arrays(name, n, 1)
 
-    def legacy_pass(controller):
-        for name in names:
-            _legacy_cell(controller, cached_trace_arrays(name, n, 1), name)
-
-    def shipping_pass(controller):
-        # The shipping per-cell path: kernel + specialized recurrences.
+    def grid_pass(controller, fast):
         for name in names:
             controller.run_arrays(cached_trace_arrays(name, n, 1),
-                                  workload_name=name)
+                                  workload_name=name, fast=fast)
 
-    baseline_total = 0.0
-    baseline_photonic = 0.0
-    new_total = 0.0
-    new_photonic = 0.0
+    mirror_total = mirror_photonic = 0.0
+    twin_total = twin_photonic = 0.0
     controller_mod.reset_kernel_counters()
     for arch in ARCHITECTURE_NAMES:
         controller = controller_for(arch)
-        legacy_s = _timeit(lambda: legacy_pass(controller), repeats)
-        new_s = _timeit(lambda: shipping_pass(controller), repeats)
-        baseline_total += legacy_s
-        new_total += new_s
+        mirror_s = _timeit(lambda: grid_pass(controller, False), repeats)
+        twin_s = _timeit(lambda: grid_pass(controller, True), repeats)
+        mirror_total += mirror_s
+        twin_total += twin_s
         if arch in PHOTONIC:
-            baseline_photonic += legacy_s
-            new_photonic += new_s
-    cells = len(ARCHITECTURE_NAMES) * len(names)
-    # Each architecture ran `repeats` shipping passes; normalize the
-    # dispatch counters back to one grid's worth of cells.
-    counters = controller_mod.kernel_counters()
-    fast_cells = counters["fast"] // repeats
+            mirror_photonic += mirror_s
+            twin_photonic += twin_s
+    summary = kernel_dispatch_summary(controller_mod.kernel_counters())
 
     # The full engine pass (trace plane + persistent pool ride along
     # under fan-out; serially this adds only engine bookkeeping).
@@ -172,61 +132,16 @@ def measure_cold_grid(n: int = GRID_N, repeats: int = 3) -> Dict[str, float]:
 
     return {
         "n": n,
-        "cells": cells,
-        "baseline_s": baseline_total,
-        "new_s": new_total,
-        "grid_speedup": baseline_total / new_total,
-        "baseline_photonic_s": baseline_photonic,
-        "new_photonic_s": new_photonic,
-        "photonic_speedup": baseline_photonic / new_photonic,
+        "cells": len(ARCHITECTURE_NAMES) * len(names),
+        "mirror_s": mirror_total,
+        "twin_s": twin_total,
+        "grid_speedup": mirror_total / twin_total,
+        "mirror_photonic_s": mirror_photonic,
+        "twin_photonic_s": twin_photonic,
+        "photonic_speedup": mirror_photonic / twin_photonic,
         "engine_cold_grid_s": engine_s,
-        "fast_path_cells": fast_cells,
-        "fast_path_hit_rate": fast_cells / cells,
-    }
-
-
-def measure_shared_bus_grid(n: int = GRID_N,
-                            repeats: int = 3) -> Dict[str, object]:
-    """Whole cold grid: every kernel class vs the PR 5 dispatch set.
-
-    The PR 5 baseline is reconstructed live by disabling the shared-bus
-    and global-queue kernel classes — per-bank cells still ride the
-    PR 5 prefix-fold kernel, everything else runs the scalar
-    recurrence — so both passes share trace caches, precompute and
-    stats code, and the ratio isolates exactly the new kernels.
-    """
-    names = sorted(SPEC_WORKLOADS)
-    for arch in ARCHITECTURE_NAMES:
-        controller_for(arch)          # device builds are one-time work
-    for name in names:
-        cached_trace_arrays(name, n, 1)
-
-    def grid_pass():
-        for arch in ARCHITECTURE_NAMES:
-            controller = controller_for(arch)
-            for name in names:
-                controller.run_arrays(cached_trace_arrays(name, n, 1),
-                                      workload_name=name)
-
-    grid_pass()    # warm: first use pays the exact-twin compile
-    previous = controller_mod.set_disabled_fast_classes(
-        {"shared_bus", "global_queue"})
-    try:
-        baseline_s = _timeit(grid_pass, repeats)
-    finally:
-        controller_mod.set_disabled_fast_classes(previous)
-    controller_mod.reset_kernel_counters()
-    new_s = _timeit(grid_pass, repeats)
-    summary = kernel_dispatch_summary(controller_mod.kernel_counters())
-    cells = len(ARCHITECTURE_NAMES) * len(names)
-    return {
-        "n": n,
-        "cells": cells,
-        "pr5_baseline_s": baseline_s,
-        "new_s": new_s,
-        "shared_bus_grid_speedup": baseline_s / new_s,
         "hit_rate": summary["hit_rate"],
-        # _timeit ran `repeats` passes; report one grid's worth.
+        # _timeit ran `repeats` twin passes; report one grid's worth.
         "per_class": {name: count // repeats
                       for name, count in summary["per_class"].items()},
         "fallbacks": {name: count // repeats
@@ -244,8 +159,7 @@ def measure_pool_grid(n: int = GRID_N, repeats: int = 3,
     plane itself — in-process thread submits against fork's pickling,
     IPC and trace-plane publication.  Bit-identity of the full stats
     against a serial pass is asserted for both pools on every cell,
-    and the compiled-dispatch counters (``twin_per_bank`` for per-bank
-    cells, the exact-twin classes for the rest) must cover the grid.
+    and the compiled hits (``fast``) must cover the grid.
     """
     archs = known_architectures()
     names = sorted(SPEC_WORKLOADS)
@@ -272,9 +186,7 @@ def measure_pool_grid(n: int = GRID_N, repeats: int = 3,
 
     controller_mod.reset_kernel_counters()
     run_evaluation(workers=workers, pool="threads", **kwargs)
-    counters = controller_mod.kernel_counters()
-    compiled = (counters["twin_per_bank"] + counters["fast_shared_bus"]
-                + counters["fast_global_queue"])
+    compiled = controller_mod.kernel_counters()["fast"]
     cells = len(archs) * len(names)
     return {
         "n": n,
@@ -285,7 +197,6 @@ def measure_pool_grid(n: int = GRID_N, repeats: int = 3,
         "threads_over_fork": times["fork"] / times["threads"],
         "compiled_dispatches": compiled,
         "compiled_hit_rate": compiled / cells,
-        "twin_per_bank": counters["twin_per_bank"],
     }
 
 
@@ -318,84 +229,58 @@ GATE_ATTEMPTS = 3
 
 
 def bench_kernel_speedup():
-    """Acceptance gate: kernel >= 5x over the scalar recurrence."""
+    """Acceptance gate: twin >= 5x over the mirror on COMET cells."""
     best = None
     for _attempt in range(GATE_ATTEMPTS):
-        at_gate = measure_kernel(KERNEL_N)
+        at_gate = measure_twin(KERNEL_N)
         if best is None or at_gate["speedup"] > best["speedup"]:
             best = at_gate
         if best["speedup"] >= 5.0:
             break
-    at_small = measure_kernel(KERNEL_N_SMALL, repeats=2)
-    print(f"\n  n={best['n']}: scalar {best['scalar_s']*1e3:7.1f} ms, "
-          f"kernel {best['kernel_s']*1e3:6.1f} ms "
-          f"-> {best['speedup']:.1f}x")
-    print(f"  n={at_small['n']}: scalar {at_small['scalar_s']*1e3:7.1f} ms, "
-          f"kernel {at_small['kernel_s']*1e3:6.1f} ms "
-          f"-> {at_small['speedup']:.1f}x")
+    at_small = measure_twin(KERNEL_N_SMALL, repeats=2)
+    for run in (best, at_small):
+        print(f"\n  n={run['n']}: mirror {run['mirror_s']*1e3:7.1f} ms, "
+              f"twin {run['twin_s']*1e3:6.1f} ms -> {run['speedup']:.1f}x",
+              end="")
+    print()
     _maybe_emit({"kernel": best, "kernel_small": at_small})
     assert best["speedup"] >= 5.0, (
-        f"kernel only {best['speedup']:.2f}x over the scalar "
-        f"recurrence at n={best['n']}")
-
-
-def bench_shared_bus_grid_speedup():
-    """Acceptance gate: whole cold grid >= 3x over the PR 5 dispatch
-    set (per-bank kernel only; shared-bus/global-queue cells scalar)."""
-    best = None
-    for _attempt in range(GATE_ATTEMPTS):
-        grid = measure_shared_bus_grid()
-        if best is None or grid["shared_bus_grid_speedup"] \
-                > best["shared_bus_grid_speedup"]:
-            best = grid
-        if best["shared_bus_grid_speedup"] >= 3.0:
-            break
-    classes = ", ".join(f"{name} {count}" for name, count
-                        in sorted(best["per_class"].items()))
-    print(f"\n  cold full-SPEC grid (n={best['n']}, {best['cells']} cells)")
-    print(f"  PR5 dispatch : {best['pr5_baseline_s']:.2f} s")
-    print(f"  all kernels  : {best['new_s']:.2f} s "
-          f"-> {best['shared_bus_grid_speedup']:.2f}x")
-    print(f"  fast path    : hit rate {best['hit_rate']:.0%} ({classes})")
-    _maybe_emit({"shared_bus_grid": best})
-    assert best["shared_bus_grid_speedup"] >= 3.0, (
-        f"whole grid only {best['shared_bus_grid_speedup']:.2f}x over "
-        f"the PR 5 dispatch set")
-    assert best["hit_rate"] == 1.0, (
-        f"fast-path hit rate {best['hit_rate']:.2f} < 1.0 on the Fig. 9 "
-        f"grid (fallbacks: {best['fallbacks']})")
+        f"twin only {best['speedup']:.2f}x over the mirror "
+        f"at n={best['n']}")
 
 
 def bench_cold_grid_speedup():
-    """Acceptance gate: cold grid vs the PR 4 scheduling baseline
-    (photonic half >= 1.5x; whole grid >= 1.05x floor, ratio reported)."""
+    """Acceptance gate: cold grid vs the mirror (whole grid >= 3x,
+    photonic half >= 1.5x, every cell a compiled hit)."""
     best = None
     for _attempt in range(GATE_ATTEMPTS):
         grid = measure_cold_grid()
-        if best is None or grid["photonic_speedup"] \
-                > best["photonic_speedup"]:
+        if best is None or grid["grid_speedup"] > best["grid_speedup"]:
             best = grid
-        if best["photonic_speedup"] >= 1.5 \
-                and best["grid_speedup"] >= 1.05:
+        if best["grid_speedup"] >= 3.0 \
+                and best["photonic_speedup"] >= 1.5:
             break
     grid = best
+    classes = ", ".join(f"{name} {count}" for name, count
+                        in sorted(grid["per_class"].items()))
     print(f"\n  cold full-SPEC grid (n={grid['n']}, {grid['cells']} cells)")
-    print(f"  PR4 baseline : {grid['baseline_s']:.2f} s "
-          f"(photonic half {grid['baseline_photonic_s']:.2f} s)")
-    print(f"  new pipeline : {grid['new_s']:.2f} s "
-          f"(photonic half {grid['new_photonic_s']:.2f} s)")
+    print(f"  mirror       : {grid['mirror_s']:.2f} s "
+          f"(photonic half {grid['mirror_photonic_s']:.2f} s)")
+    print(f"  twin         : {grid['twin_s']:.2f} s "
+          f"(photonic half {grid['twin_photonic_s']:.2f} s)")
     print(f"  speedup      : {grid['grid_speedup']:.2f}x grid, "
           f"{grid['photonic_speedup']:.2f}x photonic half")
-    print(f"  fast path    : {grid['fast_path_cells']}/{grid['cells']} "
-          f"cells ({grid['fast_path_hit_rate']:.0%})")
+    print(f"  fast path    : hit rate {grid['hit_rate']:.0%} ({classes})")
     print(f"  engine cold grid wall time: {grid['engine_cold_grid_s']:.2f} s")
     _maybe_emit({"cold_grid": grid})
+    assert grid["grid_speedup"] >= 3.0, (
+        f"whole grid only {grid['grid_speedup']:.2f}x over the mirror")
     assert grid["photonic_speedup"] >= 1.5, (
         f"photonic half only {grid['photonic_speedup']:.2f}x over the "
-        f"PR 4 scalar recurrence")
-    assert grid["grid_speedup"] >= 1.05, (
-        f"full grid only {grid['grid_speedup']:.2f}x over the PR 4 "
-        f"scalar recurrence")
+        f"mirror")
+    assert grid["hit_rate"] == 1.0, (
+        f"fast-path hit rate {grid['hit_rate']:.2f} < 1.0 on the Fig. 9 "
+        f"grid (fallbacks: {grid['fallbacks']})")
 
 
 def bench_pool_throughput():
@@ -415,8 +300,7 @@ def bench_pool_throughput():
     print(f"  thread pool  : {best['threads_s']:.2f} s "
           f"-> {best['threads_over_fork']:.2f}x")
     print(f"  compiled     : {best['compiled_dispatches']}/{best['cells']} "
-          f"cells ({best['compiled_hit_rate']:.0%}, "
-          f"{best['twin_per_bank']} per-bank twin)")
+          f"cells ({best['compiled_hit_rate']:.0%})")
     _maybe_emit({"pool_grid": best})
     assert best["threads_over_fork"] >= 1.0, (
         f"thread pool only {best['threads_over_fork']:.2f}x of fork-pool "
@@ -431,26 +315,19 @@ def main() -> None:
     argv = sys.argv[1:]
     if argv[:1] == ["--json"]:
         json_path = argv[1] if len(argv) > 1 else "BENCH_kernel.json"
-    kernel = measure_kernel(KERNEL_N)
-    kernel_small = measure_kernel(KERNEL_N_SMALL, repeats=2)
-    shared = measure_shared_bus_grid()
+    kernel = measure_twin(KERNEL_N)
+    kernel_small = measure_twin(KERNEL_N_SMALL, repeats=2)
     grid = measure_cold_grid()
     pool = measure_pool_grid()
-    print(f"fast-path scheduler kernel (COMET SPEC cells):")
-    print(f"  n={kernel['n']}: {kernel['speedup']:.1f}x over the scalar "
-          f"recurrence ({kernel['scalar_s']*1e3:.0f} ms -> "
-          f"{kernel['kernel_s']*1e3:.0f} ms)")
+    print(f"compiled twin vs Python mirror (COMET SPEC cells):")
+    print(f"  n={kernel['n']}: {kernel['speedup']:.1f}x "
+          f"({kernel['mirror_s']*1e3:.0f} ms -> {kernel['twin_s']*1e3:.0f} ms)")
     print(f"  n={kernel_small['n']}: {kernel_small['speedup']:.1f}x")
-    print(f"shared-bus kernels, cold full-SPEC grid (n={shared['n']}):")
-    print(f"  PR5 dispatch {shared['pr5_baseline_s']:.2f} s -> all kernels "
-          f"{shared['new_s']:.2f} s "
-          f"({shared['shared_bus_grid_speedup']:.2f}x; hit rate "
-          f"{shared['hit_rate']:.0%})")
     print(f"cold full-SPEC grid (n={grid['n']}):")
-    print(f"  PR4 baseline {grid['baseline_s']:.2f} s -> new "
-          f"{grid['new_s']:.2f} s ({grid['grid_speedup']:.2f}x; photonic "
-          f"half {grid['photonic_speedup']:.2f}x)")
-    print(f"  fast-path hit rate {grid['fast_path_hit_rate']:.0%}, "
+    print(f"  mirror {grid['mirror_s']:.2f} s -> twin {grid['twin_s']:.2f} s "
+          f"({grid['grid_speedup']:.2f}x; photonic half "
+          f"{grid['photonic_speedup']:.2f}x)")
+    print(f"  fast-path hit rate {grid['hit_rate']:.0%}, "
           f"engine wall time {grid['engine_cold_grid_s']:.2f} s")
     print(f"warm full grid, thread vs fork pool (n={pool['n']}, "
           f"{pool['cells']} cells):")
@@ -459,9 +336,7 @@ def main() -> None:
           f"{pool['compiled_hit_rate']:.0%})")
     if json_path:
         _emit_json({"kernel": kernel, "kernel_small": kernel_small,
-                    "shared_bus_grid": shared, "cold_grid": grid,
-                    "pool_grid": pool},
-                   json_path)
+                    "cold_grid": grid, "pool_grid": pool}, json_path)
         print(f"wrote {json_path}")
 
 

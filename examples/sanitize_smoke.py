@@ -2,8 +2,10 @@
 
 Recompiles the exact-twin C kernel (``repro.sim._fastloop``) under
 AddressSanitizer and UndefinedBehaviorSanitizer and runs the cross-tier
-equivalence suites against the instrumented builds, so memory errors and
-UB in the twin fail CI instead of silently corrupting schedules.
+equivalence suites against the instrumented builds — every drawn cell
+compares the twin's ``CellResult`` with the Python mirror's field for
+field — so memory errors and UB in the twin fail CI instead of silently
+corrupting schedules.
 
 Per sanitizer the script
 
@@ -15,7 +17,7 @@ Per sanitizer the script
 2. asserts the instrumented kernel actually loads
    (``_fastloop.available()`` is True under ``REPRO_FASTLOOP_SANITIZE``)
    — without this the equivalence suites would silently fall back to
-   the Python reference path and pass vacuously;
+   the Python mirror and pass vacuously;
 3. runs the kernel equivalence and scheduler suites under the
    sanitizer, with the build cache pointed at a temp dir so
    instrumented artifacts never touch the production cache.
@@ -38,7 +40,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: Suites that exercise the compiled twin against the Python reference.
+#: Suites that exercise the compiled twin against the Python mirror.
 #: ``test_controller_kernel.py`` also runs the twin from two pool
 #: threads at once, which is what the TSan leg needs to see a race.
 EQUIVALENCE_SUITES = [

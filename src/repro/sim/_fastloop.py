@@ -1,36 +1,40 @@
-"""Compiled exact twin of the scheduler: one GIL-free call per cell.
+"""The scheduler, twice: a compiled exact twin and its Python mirror.
 
 :func:`run_cell` hands a whole cell to the C entry ``repro_run_cell``
 in one ``ctypes`` call, which releases the GIL for all of it: the
-sortedness check, bank and row mapping, open-row hits, array service
-times, the bus-turnaround term, the recurrence of the cell's device
-class (per-bank-queue chains, reverting to the global queue when a
-per-bank admission stamp would bind; the global FIFO with or without a
-shared bus and refresh) and the latency reduction.  Python marshals
-arguments, counts the dispatch and assembles ``SimStats``.
+sortedness and negative-address checks, bank and row mapping, open-row
+hits, array service times, the bus-turnaround term, the recurrence of
+the cell's structure (per-bank-queue chains, reverting to the global
+queue when a per-bank admission stamp would bind; the global FIFO with
+or without a shared bus and refresh) and the latency reduction.
+:func:`run_cell_python` is the same algorithm transcribed into Python:
+the oracle the equivalence suites compare the twin against and the
+fallback wherever the twin is unavailable.  Both take one
+:class:`CellSpec` and return one :class:`CellResult`.
 
 The bus- and queue-coupled recurrences are *irreducibly sequential*
 (the bus serializes every burst through its predecessor while bank
 conflicts couple requests a few indices apart), so no exact prefix fold
 covers them: re-associating float additions would move results by an
 ulp off the goldens.  The twin is therefore an **exact twin**, not a
-decomposition: the same IEEE-754 double operations in the same order
-as the controller's Python path, which stays as the toolchain-free
-fallback and the oracle the equivalence suites compare against.
+decomposition: the mirror's recurrence loops perform the same IEEE-754
+double operations in the same order, and only steps without a timing
+dependency (input checks, mapping, open-row hits, service times, the
+turnaround term, the latency reduction) run as numpy passes there.
 CPython float arithmetic *is* C double arithmetic on the host (``+``,
-``*``, comparisons, ``%`` on positive floats as plain ``fmod``), and
-C's integer ``/`` and ``%`` equal numpy's floor operations on the
-non-negative addresses every trace guarantees, so the twin is
-bit-identical by construction.  Contraction (``-ffp-contract=off``) and
-fast-math stay off.  The C source keeps no static state (scratch
-tables are malloc'd per call), so threads may run cells concurrently.
+``*``, comparisons, ``math.fmod``), and C's integer ``/`` and ``%``
+equal numpy's floor operations on the non-negative addresses both
+paths insist on, so the two are bit-identical by construction.
+Contraction (``-ffp-contract=off``) and fast-math stay off.  The C
+source keeps no static state (scratch tables are malloc'd per call), so
+threads may run cells concurrently.
 
 The library is cached on disk keyed by the SHA-256 of the source, so a
 process pays the compile once ever; a corrupt or truncated cached
 artifact triggers one rebuild.  Where no C toolchain exists the module
-reports itself unavailable and the controller falls back to the Python
-path — same results, Python speed — counted under
-``fallback_toolchain``; ``REPRO_FASTLOOP=0`` forces that fallback.
+reports itself unavailable and the controller runs the mirror instead
+— same results, Python speed — counted under ``fallback_toolchain``;
+``REPRO_FASTLOOP=0`` forces that fallback.
 
 ``REPRO_FASTLOOP_SANITIZE=asan,ubsan`` (or ``tsan``) recompiles the
 twin with the matching ``-fsanitize=`` flags into a *separate* cache
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -62,7 +67,7 @@ import numpy as np
 from ..errors import SimulationError
 
 #: Environment switch: ``0`` disables the compiled loop (the controller
-#: then counts a toolchain fallback and runs the Python path).
+#: then counts a toolchain fallback and runs the Python mirror).
 FASTLOOP_ENV_VAR = "REPRO_FASTLOOP"
 
 #: Override for the shared-library cache directory (useful when the
@@ -82,17 +87,17 @@ _SANITIZER_FLAGS = {
     "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=undefined"),
 }
 
-# Each step transcribes the controller's Python path with identical
-# operation order, so edits here must track controller.py: array_time
-# mirrors _precompute (the service constants arrive pre-folded, COSMOS's
-# write override included), the turnaround term _bus_turn_penalties
-# (numpy's multiply(bool, t)), per_bank_loop _recurrence_per_bank (only
-# the stamp `served - bank_queue_depth` of a bank is ever read, so one
-# slot per queue position suffices), global_loop _recurrence_refresh_bus
-# (whose branches _recurrence_bus / _unshared specialize away), and
-# finish_request _finalize + _stats.  Return codes: 0 served, 1 unsorted
-# arrivals, 2 a negative address, 3 a per-bank stamp bound service with
-# the revert forbidden, 4 out of memory.
+# repro_run_cell and run_cell_python below are one algorithm written
+# twice, with identical double operations in identical order, so an edit
+# to either must track the other: array_time is _map_requests (the
+# service constants arrive pre-folded, COSMOS's write override
+# included), per_bank_loop is _per_bank_loop (only the stamp
+# `served - bank_queue_depth` of a bank is ever read, so one slot per
+# queue position suffices), global_loop is _global_loop with its
+# turnaround term from _turnarounds (numpy's multiply(bool, t)), and
+# finish_request is the reduction at the end of run_cell_python.
+# Return codes: 0 served, 1 unsorted arrivals, 2 a negative address,
+# 3 out of memory.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -106,7 +111,6 @@ typedef struct {
     int row_buffer;              /* count row misses */
     int open_page;               /* track open rows per bank */
     int per_bank;                /* per-bank-queue chains */
-    int may_revert;              /* binding stamp: global queue here */
     int shared_bus;
     int overlap;
     int has_refresh;
@@ -358,19 +362,15 @@ int repro_run_cell(
     if (!scratch || !iscratch) {
         free(scratch);
         free(iscratch);
-        return 4;
+        return 3;
     }
     cell_io io = {address, is_read, arrival, latency, admitted, start,
                   finish, make_divisor(s->map_bytes),
                   make_divisor(banks), make_divisor(s->row_bytes),
                   make_divisor(s->bank_queue_depth), 0, 0, 0.0, 0.0};
-    int rc = 0;
-    totals->reverted = 0;
-    if (s->per_bank
-            && per_bank_loop(s, &io, n, scratch, iscratch, &totals->busy)) {
-        if (s->may_revert) totals->reverted = 1;
-        else rc = 3;
-    }
+    /* A binding admission stamp reverts the cell to the global queue. */
+    totals->reverted = s->per_bank
+        && per_bank_loop(s, &io, n, scratch, iscratch, &totals->busy);
     if (!s->per_bank || totals->reverted)
         global_loop(s, &io, n, scratch, iscratch, &totals->busy);
     free(scratch);
@@ -380,7 +380,7 @@ int repro_run_cell(
     totals->reads = io.reads;
     totals->row_hits = io.row_hits;
     totals->row_misses = s->row_buffer ? n - io.row_hits : 0;
-    return rc;
+    return 0;
 }
 """
 
@@ -402,7 +402,6 @@ class CellSpec(ctypes.Structure):
         ("row_buffer", ctypes.c_int),
         ("open_page", ctypes.c_int),
         ("per_bank", ctypes.c_int),
-        ("may_revert", ctypes.c_int),
         ("shared_bus", ctypes.c_int),
         ("overlap", ctypes.c_int),
         ("has_refresh", ctypes.c_int),
@@ -434,9 +433,9 @@ class CellResult(NamedTuple):
     """One scheduled cell, reduced to what ``SimStats`` needs.
 
     The twin fills the per-request ``admitted`` / ``start`` /
-    ``finish`` times only for the object API (the Python path always
-    has them).  ``reverted`` marks a per-bank cell whose admission
-    stamp bound service, so the global-queue model served it."""
+    ``finish`` times only for the object API (the mirror always has
+    them).  ``reverted`` marks a per-bank cell whose admission stamp
+    bound service, so the global-queue model served it."""
 
     latencies: np.ndarray
     admitted: Optional[np.ndarray]
@@ -449,6 +448,207 @@ class CellResult(NamedTuple):
     row_hits: int
     row_misses: int
     reverted: bool = False
+
+
+def _checked_columns(addresses, is_read, arrivals, spec: CellSpec):
+    """The checks both paths make before scheduling a cell; returns the
+    columns as contiguous int64, bool and float64 arrays."""
+    n = len(arrivals)
+    if not len(addresses) == len(is_read) == n:
+        raise SimulationError(
+            f"trace columns must have equal length: {len(addresses)} "
+            f"addresses, {len(is_read)} read flags, {n} arrivals")
+    if n == 0:
+        raise SimulationError("empty request stream")
+    if min(spec.banks, spec.map_bytes, spec.row_bytes, spec.queue_depth,
+           spec.bank_queue_depth) < 1:
+        raise ValueError("cell geometry and queue depths must be positive")
+    return (np.ascontiguousarray(addresses, dtype=np.int64),
+            np.ascontiguousarray(is_read, dtype=np.bool_),
+            np.ascontiguousarray(arrivals, dtype=np.float64))
+
+
+def _input_error(rc: int, addresses: np.ndarray) -> SimulationError:
+    """The error for a failed input scan (return code 1 or 2)."""
+    if rc == 1:
+        return SimulationError("requests must be sorted by arrival")
+    return SimulationError(
+        f"negative address {int(addresses[addresses < 0][0]):#x}")
+
+
+def _scan_inputs(addresses: np.ndarray, arrivals: np.ndarray) -> int:
+    """repro_run_cell's input scan: the first request that arrives
+    before its predecessor (code 1) or has a negative address (code 2)
+    wins; 0 when every request passes."""
+    bad = addresses < 0
+    bad[1:] |= np.diff(arrivals) < 0.0
+    first = int(np.argmax(bad))
+    if not bad[first]:
+        return 0
+    return 1 if first and arrivals[first] - arrivals[first - 1] < 0.0 else 2
+
+
+def _map_requests(addresses: np.ndarray, is_read: np.ndarray,
+                  spec: CellSpec):
+    """array_time for every request as numpy passes: the bank, the
+    open-row hit (the bank's previous request opened the same row) and
+    the array service time.  Returns banks, service times, hit count."""
+    bank = addresses // spec.map_bytes % spec.banks
+    hit = np.zeros(len(addresses), dtype=bool)
+    if spec.open_page:
+        rows = addresses // spec.row_bytes
+        # Group by bank with a stable sort on the narrowest key: numpy
+        # radix-sorts uint8/uint16 an order of magnitude faster than it
+        # merge-sorts int64.
+        narrow = (np.uint8 if spec.banks <= 1 << 8
+                  else np.uint16 if spec.banks <= 1 << 16 else np.int64)
+        order = np.argsort(bank.astype(narrow), kind="stable")
+        bank_sorted, rows_sorted = bank[order], rows[order]
+        hit[order[1:]] = (bank_sorted[1:] == bank_sorted[:-1]) \
+            & (rows_sorted[1:] == rows_sorted[:-1])
+    array_ns = np.where(is_read,
+                        np.where(hit, spec.hit_read, spec.miss_read),
+                        np.where(hit, spec.hit_write, spec.miss_write))
+    return bank, array_ns, int(np.count_nonzero(hit))
+
+
+def _turnarounds(is_read: np.ndarray, turnaround: float) -> np.ndarray:
+    """Bus dead time before each burst: ``1.0 * t`` where the transfer
+    direction flips from the previous request, ``0.0 * t`` elsewhere
+    and nothing before the first — numpy's multiply(bool, t)."""
+    turn = np.zeros(len(is_read))
+    np.multiply(is_read[1:] != is_read[:-1], turnaround, out=turn[1:])
+    return turn
+
+
+def _left_fold(values) -> float:
+    """sum_busy: a plain left fold from 0.0 (``sum`` compensates its
+    rounding on Python 3.12 and later)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _per_bank_loop(spec: CellSpec, arrivals, banks, occupancies):
+    """per_bank_loop: deadline-space chains, one per bank, each bank
+    admitting against its own queue slice.  ``None`` when an admission
+    stamp would land after its chain start (the cell reverts)."""
+    burst, overlap = spec.burst, spec.overlap
+    depth = spec.bank_queue_depth
+    cum = [0.0] * spec.banks
+    peak = [float("-inf")] * spec.banks
+    busy = [0.0] * spec.banks
+    history = [[] for _ in range(spec.banks)]
+    admitted, starts, finishes = [], [], []
+    for arrival, b, occupancy in zip(arrivals, banks, occupancies):
+        cum_prev = cum[b]
+        deadline = arrival - cum_prev
+        pk = peak[b]
+        if deadline > pk:
+            pk = deadline
+            peak[b] = deadline
+        start = pk + cum_prev
+        cum_next = cum_prev + occupancy
+        release = pk + cum_next
+        fin = release + burst if overlap else release
+        adm = arrival
+        served = history[b]
+        k = len(served)
+        if k >= depth:
+            if served[k - depth] > adm:
+                adm = served[k - depth]
+            if adm > start:
+                return None    # queue binds: revert
+        served.append(fin)
+        cum[b] = cum_next
+        busy[b] += release - start
+        admitted.append(adm)
+        starts.append(start)
+        finishes.append(fin)
+    return admitted, starts, finishes, _left_fold(busy)
+
+
+def _global_loop(spec: CellSpec, arrivals, banks, array_times, turns):
+    """global_loop: one FIFO of ``queue_depth`` entries, shared bus and
+    refresh as flagged."""
+    burst, overlap = spec.burst, spec.overlap
+    shared_bus, has_refresh = spec.shared_bus, spec.has_refresh
+    interval, duration = spec.interval, spec.duration
+    depth = spec.queue_depth
+    fmod = math.fmod
+    bank_free = [0.0] * spec.banks
+    busy = [0.0] * spec.banks
+    bus_free = 0.0
+    admitted, starts, finishes = [], [], []
+    for i, (adm, b, array_ns, turn) in enumerate(
+            zip(arrivals, banks, array_times, turns)):
+        if i >= depth and finishes[i - depth] > adm:
+            adm = finishes[i - depth]
+        start = bank_free[b]
+        if adm > start:
+            start = adm
+        if has_refresh:
+            pos = fmod(start, interval)
+            if pos < duration:
+                start = (start - pos) + duration
+        burst_start = start + array_ns
+        if shared_bus:
+            bus_ready = bus_free + turn
+            if bus_ready > burst_start:
+                burst_start = bus_ready
+            if has_refresh:
+                pos = fmod(burst_start, interval)
+                if pos < duration:
+                    burst_start = (burst_start - pos) + duration
+        fin = burst_start + burst
+        if shared_bus:
+            bus_free = fin
+        release = fin
+        if overlap:
+            array_done = start + array_ns
+            release = array_done if array_done > burst_start else burst_start
+        busy[b] += release - start
+        bank_free[b] = release
+        admitted.append(adm)
+        starts.append(start)
+        finishes.append(fin)
+    return admitted, starts, finishes, _left_fold(busy)
+
+
+def run_cell_python(addresses, is_read, arrivals,
+                    spec: CellSpec) -> CellResult:
+    """Schedule one cell in Python, :func:`run_cell` step for step.
+
+    Returns the per-request admission, start and finish times as well.
+    Raises ``SimulationError`` on ragged columns, an empty stream,
+    unsorted arrivals or a negative address, as :func:`run_cell` does.
+    """
+    addresses, is_read, arrivals = _checked_columns(
+        addresses, is_read, arrivals, spec)
+    rc = _scan_inputs(addresses, arrivals)
+    if rc:
+        raise _input_error(rc, addresses)
+    bank, array_ns, row_hits = _map_requests(addresses, is_read, spec)
+    arrivals_l, banks_l = arrivals.tolist(), bank.tolist()
+    schedule = None
+    if spec.per_bank:
+        occupancy = array_ns if spec.overlap else array_ns + spec.burst
+        schedule = _per_bank_loop(spec, arrivals_l, banks_l,
+                                  occupancy.tolist())
+    reverted = bool(spec.per_bank) and schedule is None
+    if schedule is None:
+        schedule = _global_loop(
+            spec, arrivals_l, banks_l, array_ns.tolist(),
+            _turnarounds(is_read, spec.turnaround).tolist())
+    admitted, start, finish = (np.array(column) for column in schedule[:3])
+    completion = finish + spec.interface_delay
+    n = len(arrivals)
+    return CellResult(completion - admitted, admitted, start, finish,
+                      float(admitted[0]), schedule[3],
+                      float(completion.max()), int(np.count_nonzero(is_read)),
+                      row_hits, n - row_hits if spec.row_buffer else 0,
+                      reverted)
 
 
 #: ``None`` = not probed yet; ``False`` = unavailable this process.
@@ -640,26 +840,18 @@ def reset_probe() -> None:
 
 def run_cell(addresses: np.ndarray, is_read: np.ndarray,
              arrivals: np.ndarray, spec: CellSpec,
-             service: bool = False) -> Optional[CellResult]:
+             service: bool = False) -> CellResult:
     """Schedule one cell in one GIL-free call into the twin.
 
     The caller checks :func:`available` first.  ``service=True`` also
     returns per-request admission, start and finish times (the object
-    API).
-    Returns ``None`` when a per-bank admission stamp binds service and
-    ``spec.may_revert`` is off, leaving the revert to the caller's
-    Python path.  Raises ``SimulationError`` on unsorted arrivals or a
-    negative address, as the Python path and ``MemRequest`` do.
+    API).  Raises ``SimulationError`` on ragged columns, an empty
+    stream, unsorted arrivals or a negative address, as
+    :func:`run_cell_python` does.
     """
+    addresses, is_read, arrivals = _checked_columns(
+        addresses, is_read, arrivals, spec)
     n = len(arrivals)
-    if not len(addresses) == len(is_read) == n:
-        raise ValueError("trace columns must have equal length")
-    if min(spec.banks, spec.map_bytes, spec.row_bytes, spec.queue_depth,
-           spec.bank_queue_depth) < 1:
-        raise ValueError("cell geometry and queue depths must be positive")
-    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-    is_read = np.ascontiguousarray(is_read, dtype=np.bool_)
-    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
     latencies = np.empty(n)
     admitted, start, finish = (
         (np.empty(n), np.empty(n), np.empty(n)) if service
@@ -670,13 +862,8 @@ def run_cell(addresses: np.ndarray, is_read: np.ndarray,
               *(array.ctypes.data if service else None
                 for array in (admitted, start, finish)),
               ctypes.byref(totals))
-    if rc == 1:
-        raise SimulationError("requests must be sorted by arrival")
-    if rc == 2:
-        raise SimulationError(
-            f"negative address {int(addresses[addresses < 0][0]):#x}")
-    if rc == 3:
-        return None
+    if rc in (1, 2):
+        raise _input_error(rc, addresses)
     if rc != 0:
         raise MemoryError("compiled twin could not allocate its tables")
     return CellResult(latencies, admitted, start, finish,

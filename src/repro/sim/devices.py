@@ -138,9 +138,9 @@ class MemoryDeviceModel:
     #: (DRAM/EPCM shared buses, COSMOS's subtractive read-erase-read
     #: orchestration).
     per_bank_queues: bool = False
-    #: Master eligibility switch for the fast-path scheduler kernels.
-    #: True lets :attr:`fast_path_class` pick a kernel from the timing
-    #: structure; False pins the device to the scalar recurrence in
+    #: Master eligibility switch for the compiled scheduler twin.
+    #: True lets :attr:`fast_path_class` pick a dispatch class from the
+    #: timing structure; False pins the device to the Python mirror in
     #: every tier (forced-fallback test cells, exotic device models).
     allow_fast_path: bool = True
 
@@ -165,26 +165,24 @@ class MemoryDeviceModel:
     @property
     def contention_free(self) -> bool:
         """No shared bus and no refresh: every timing dependency is a
-        per-bank chain, the structure the fast-path scheduler kernel
-        exploits (all-photonic devices; DRAM fails on both counts)."""
+        per-bank chain, the structure per-bank queues decompose over
+        (all-photonic devices; DRAM fails on both counts)."""
         return not self.shared_bus and self.refresh is None
 
     @property
     def fast_path_class(self) -> Optional[str]:
-        """Which fast-path scheduler kernel covers this device's timing
-        structure (``None`` = scalar recurrence only).
+        """The dispatch class the compiled twin serves this device's
+        timing structure under (``None`` = the Python mirror only).
 
         * ``"per_bank"`` — contention-free with per-bank queues (COMET):
-          the schedule decomposes into independent per-bank chains,
-          which the compiled exact twin runs (the vectorized
-          prefix-fold kernel where no C toolchain exists).
+          the schedule decomposes into independent per-bank chains.
         * ``"shared_bus"`` — a shared data bus orders every burst (DRAM
-          with refresh, electrical PCM): the compiled exact twin runs
-          the bus recurrence natively.
+          with refresh, electrical PCM).
         * ``"global_queue"`` — contention-free behind one global FIFO
-          (COSMOS): the compiled exact twin of the unshared recurrence.
-        * ``None`` — refresh without a shared bus (no Fig. 9 device):
-          only the generic scalar loop models it.
+          (COSMOS).
+        * ``None`` — refresh without a shared bus (no Fig. 9 device),
+          or ``allow_fast_path=False``: the mirror's global loop, which
+          handles every flag combination, serves it.
         """
         if not self.allow_fast_path:
             return None

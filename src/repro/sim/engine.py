@@ -20,8 +20,8 @@ model.  The engine removes both:
   directly, pay no fork latency, ship results without pickling, and
   need no shared-memory trace plane at all.  Where the twin is
   unavailable (``REPRO_FASTLOOP=0``, no C toolchain) the default
-  falls back to the fork pool, whose workers run the scalar/numpy
-  tiers outside the parent's GIL.  Either pool survives across
+  falls back to the fork pool, whose workers run the Python mirror
+  outside the parent's GIL.  Either pool survives across
   ``evaluate_tasks`` / ``run_evaluation`` / sweep calls (and server
   requests riding them); both are torn down on process exit, on
   :func:`shutdown_worker_pool`, and by :func:`clear_device_caches`.
@@ -406,8 +406,8 @@ def resolve_pool(pool: Optional[str] = None) -> str:
     Auto resolves to ``threads`` when the compiled scheduler twin is
     available in this process — every cell then runs outside the GIL,
     so threads scale with none of fork's costs — and to
-    ``fork`` otherwise (the scalar/numpy tiers hold the GIL, so only
-    processes parallelize them).
+    ``fork`` otherwise (the Python mirror holds the GIL, so only
+    processes parallelize it).
     """
     if pool is None:
         pool = os.environ.get(POOL_ENV_VAR) or None

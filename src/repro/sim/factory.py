@@ -81,9 +81,9 @@ def build_comet_device(arch: Optional[CometArchitecture] = None) -> MemoryDevice
         burst_overlaps_array=True,
         # Section III.C: line interleaving + one MDM mode per bank give
         # every bank an independent scheduler, so transaction queueing
-        # decomposes per bank too (the fast-path kernel's precondition).
+        # decomposes per bank too (the per-bank chains' precondition).
         per_bank_queues=True,
-        # fast_path_class == "per_bank": the prefix-fold kernel.
+        # fast_path_class == "per_bank": the twin's per-bank chains.
         allow_fast_path=True,
         energy=EnergyModel(
             background_power_w=0.0,

@@ -1,8 +1,8 @@
 """AST-driven invariant analyzer for the repro tree.
 
 The simulation stack's correctness story rests on invariants no single
-test pins end to end: bit-exact parity between the scalar/numpy/compiled
-scheduler tiers, lock discipline across the thread-native execution
+test pins end to end: bit-exact parity between the compiled scheduler
+twin and its Python mirror, lock discipline across the thread-native execution
 plane, digest coverage over every fingerprint field, and wire-schema
 symmetry.  ``python -m repro.tools.staticcheck`` verifies them
 statically so a regression fails CI at the diff, not in production.

@@ -658,7 +658,7 @@ class FloatExactnessChecker(Checker):
             if _FLOAT_RE.search(code):
                 findings.append(Finding(
                     checker=self.name, path=module.rel, line=file_line,
-                    message="C twin declares `float` — the scalar loop "
+                    message="C twin declares `float` — the Python mirror "
                             "computes in IEEE-754 double",
                     hint="use `double`; a narrowing conversion moves "
                          "results by an ulp and breaks bit-identity"))

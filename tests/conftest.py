@@ -73,28 +73,25 @@ def expected_dispatch():
     device=)`` -> the exact kernel counters those auto-dispatched cells
     leave behind in this process's configuration.
 
-    With the compiled twin every enabled class is a compiled hit, and
+    With the compiled twin every eligible cell is a compiled hit, and
     a reverted per-bank cell counts ``fallback_admission`` plus a
     global-queue hit.  Without it (``REPRO_FASTLOOP=0``, no C
-    toolchain) per-bank cells ride the numpy prefix-fold kernel
-    (``fast_per_bank`` without ``twin_per_bank``) and every other cell,
-    reverted ones included, counts ``fallback_toolchain``.  ``device``
-    counts cells of disabled or ineligible classes."""
+    toolchain) the Python mirror serves every eligible cell, reverted
+    ones included, as a ``fallback_toolchain``; a reverted cell still
+    counts ``fallback_admission``.  ``device`` counts cells of devices
+    with no dispatch class."""
     def expected(per_bank=0, shared_bus=0, global_queue=0, reverted=0,
                  device=0):
         twin = _fastloop.available()
-        shared = shared_bus if twin else 0
-        queued = global_queue + reverted if twin else 0
+        eligible = per_bank + shared_bus + global_queue + reverted
         return {
-            "fast": per_bank + shared + queued,
-            "fast_per_bank": per_bank,
-            "fast_shared_bus": shared,
-            "fast_global_queue": queued,
-            "twin_per_bank": per_bank if twin else 0,
+            "fast": eligible if twin else 0,
+            "fast_per_bank": per_bank if twin else 0,
+            "fast_shared_bus": shared_bus if twin else 0,
+            "fast_global_queue": global_queue + reverted if twin else 0,
             "fallback_device": device,
             "fallback_admission": reverted,
-            "fallback_toolchain":
-                0 if twin else shared_bus + global_queue + reverted,
+            "fallback_toolchain": 0 if twin else eligible,
         }
     return expected
 

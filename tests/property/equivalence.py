@@ -11,20 +11,22 @@ workloads, request counts, seeds, queue-depth overrides, synthetic
 shared-bus device models whose refresh windows real traces straddle,
 and synthetic row-buffer device models.
 
-Forced-fallback cells come from two switches, both exercised here:
-:func:`disabled_classes` (process-wide kernel-class disable, restored
-on exit) and ``allow_fast_path=False`` device models, which pin the
-scalar recurrence in every tier.
+Where the compiled twin loads, :func:`assert_tiers_identical` also
+compares its ``CellResult`` with the Python mirror's field for field,
+so every suite that draws a cell pins the revert flag and the
+per-request service arrays of both schedulers directly.  Fallback
+cells come from ``allow_fast_path=False`` device models and from
+refresh without a shared bus, the one structure no dispatch class
+covers; the mirror serves both in every tier.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from repro.sim import controller as controller_mod
+from repro.sim import _fastloop
 from repro.sim.controller import MemoryController
 from repro.sim.devices import (EnergyModel, MemoryDeviceModel, RefreshSpec,
                                 RowBufferTiming)
@@ -121,13 +123,15 @@ def row_buffer_devices(draw):
     (so the C mapping takes its division path, not the shift), an
     optional fixed write occupancy over the row-buffer path (COSMOS's
     override), and every scheduling structure a row buffer can sit
-    behind — per-bank queues, a global FIFO, or a shared bus with
-    optional refresh.
+    behind — per-bank queues, a global FIFO, a shared bus with optional
+    refresh, or refresh windows without a shared bus (no dispatch class
+    covers that one, so the mirror serves it on every path).
     """
     structure = draw(st.sampled_from(("per_bank", "global_queue",
-                                      "shared_bus")))
+                                      "shared_bus", "refresh")))
     refresh = None
-    if structure == "shared_bus" and draw(st.booleans()):
+    if structure == "refresh" \
+            or (structure == "shared_bus" and draw(st.booleans())):
         interval = draw(st.floats(min_value=200.0, max_value=4000.0))
         duration = draw(st.floats(min_value=1.0, max_value=0.4 * interval))
         refresh = RefreshSpec(interval_ns=interval, duration_ns=duration)
@@ -179,21 +183,28 @@ def make_device_cell(device, workload, num_requests, seed, queue_depth=32):
                 cached_trace_arrays(workload, num_requests, seed), workload)
 
 
-@contextmanager
-def disabled_classes(*classes):
-    """Disable fast-path kernel classes for the enclosed block."""
-    previous = controller_mod.set_disabled_fast_classes(classes)
-    try:
-        yield
-    finally:
-        controller_mod.set_disabled_fast_classes(previous)
+def assert_twin_matches_mirror(cell):
+    """The twin's ``CellResult`` equals the mirror's, byte for byte:
+    latencies, admission, start and finish times, the totals and the
+    revert flag."""
+    controller, trace = cell.controller, cell.trace
+    columns = (trace.addresses, trace.is_read, trace.arrivals_ns)
+    spec = controller._twin_spec()
+    twin = _fastloop.run_cell(*columns, spec, service=True)
+    mirror = _fastloop.run_cell_python(*columns, spec)
+    for name, got, want in zip(twin._fields, twin, mirror):
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert (type(got), got) == (type(want), want), name
 
 
 def assert_tiers_identical(cell):
-    """All three tiers agree on one cell; returns the fast-tier stats.
+    """All tiers agree on one cell; returns the fast-tier stats.
 
-    ``run_fast`` vs ``run`` is complete SimStats equality; the
-    ``run_reference`` oracle comparison pins every schedule-derived
+    ``run_fast`` vs ``run`` is complete SimStats equality; where the
+    twin loads, its ``CellResult`` equals the mirror's field for field;
+    the ``run_reference`` oracle comparison pins every schedule-derived
     field bit-for-bit and the energy to 1e-12 relative (the oracle
     re-associates its per-request energy sum).
     """
@@ -201,6 +212,8 @@ def assert_tiers_identical(cell):
     fast = controller.run_arrays(trace, workload_name=workload, fast=True)
     scalar = controller.run_arrays(trace, workload_name=workload, fast=False)
     assert fast.to_dict() == scalar.to_dict()
+    if _fastloop.available():
+        assert_twin_matches_mirror(cell)
     reference = controller.run_reference(trace.to_requests(), workload)
     assert np.array_equal(fast.latencies_ns, reference.latencies_ns)
     assert fast.sim_time_ns == reference.sim_time_ns

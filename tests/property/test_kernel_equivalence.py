@@ -1,29 +1,32 @@
 """Hypothesis equivalence: ``run_fast`` ↔ ``run`` ↔ ``run_reference``.
 
-Every fast-path scheduler kernel must be indistinguishable from the
-scalar tiers on *every* cell the evaluation substrate can name — all
-registered architectures (Fig. 9 seven + ablation variants), the full
-workload set, arbitrary request counts, seeds and queue-depth
-overrides, including the cells that must take a fallback (disabled
-kernel classes, ``allow_fast_path=False`` devices, a missing
-toolchain, binding per-bank admission stamps).
+The compiled twin must be indistinguishable from its Python mirror on
+*every* cell the evaluation substrate can name — all registered
+architectures (Fig. 9 seven + ablation variants), the full workload
+set, arbitrary request counts, seeds and queue-depth overrides,
+including the cells that must take a fallback (``allow_fast_path=False``
+devices, refresh without a shared bus, a missing toolchain) and the
+cells whose binding per-bank admission stamps revert them.
 
 The agreement contract — complete SimStats equality between the fast
-and scalar tiers plus the bit-for-bit oracle comparison — lives in
+and Python tiers, the twin's ``CellResult`` equal to the mirror's field
+for field, and the bit-for-bit oracle comparison — lives in
 :mod:`equivalence` and is shared with the micro-trace suites.
 """
+
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import _fastloop
 from repro.sim import controller as controller_mod
+from repro.sim.engine import controller_for
 
-from equivalence import (architectures, assert_tiers_identical,
-                         disabled_classes, make_cell, make_device_cell,
-                         queue_depths, request_counts, row_buffer_devices,
-                         seeds, shared_bus_devices, workloads,
-                         ARCHES_BY_CLASS, SHARED_BUS_ARCHES)
+from equivalence import (architectures, assert_tiers_identical, make_cell,
+                         make_device_cell, queue_depths, request_counts,
+                         row_buffer_devices, seeds, shared_bus_devices,
+                         workloads, ARCHES_BY_CLASS, SHARED_BUS_ARCHES)
 
 RELAXED = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -102,10 +105,15 @@ class TestKernelEquivalence:
                                           num_requests, seed):
         """Row-buffer devices beyond the presets: open and closed
         pages, bank counts and row sizes off the powers of two, the
-        fixed write occupancy override, behind every queue structure."""
+        fixed write occupancy override, behind every queue structure —
+        refresh without a shared bus included, which has no dispatch
+        class and counts a device fallback."""
+        before = controller_mod.kernel_counters()["fallback_device"]
         assert_tiers_identical(
             make_device_cell(device, "mcf", num_requests, seed % 7 + 1,
                              queue_depth=queue_depth))
+        assert controller_mod.kernel_counters()["fallback_device"] - before \
+            == (device.fast_path_class is None)
 
     @given(banks=st.integers(min_value=1, max_value=9),
            queue_depth=st.integers(min_value=1, max_value=64),
@@ -143,14 +151,18 @@ class TestForcedFallbacks:
               suppress_health_check=[HealthCheck.too_slow])
     def test_disabled_kernel_classes_stay_identical(
             self, arch, workload, num_requests, seed):
-        """With every kernel class disabled, run_fast is forced onto the
-        scalar recurrences — and still agrees with all tiers."""
-        with disabled_classes(*controller_mod.KERNEL_CLASSES):
-            before = controller_mod.kernel_counters()["fallback_device"]
-            assert_tiers_identical(
-                make_cell(arch, workload, num_requests, seed))
-            assert (controller_mod.kernel_counters()["fallback_device"]
-                    > before)
+        """Every registered device with its fast path disabled
+        (``allow_fast_path=False``) runs the Python mirror on every
+        path, per-bank queues included, counts a device fallback and
+        still agrees with the oracle."""
+        controller = controller_for(arch)
+        pinned = replace(controller.device, allow_fast_path=False)
+        before = controller_mod.kernel_counters()["fallback_device"]
+        assert_tiers_identical(
+            make_device_cell(pinned, workload, num_requests, seed,
+                             queue_depth=controller.queue_depth))
+        assert controller_mod.kernel_counters()["fallback_device"] \
+            == before + 1
 
     @given(device=shared_bus_devices(),
            num_requests=st.integers(min_value=1, max_value=200),
@@ -158,9 +170,8 @@ class TestForcedFallbacks:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_fast_path_ineligible_devices(self, device, num_requests, seed):
-        """``allow_fast_path=False`` pins the scalar recurrence in every
+        """``allow_fast_path=False`` pins the Python mirror in every
         tier and counts a device fallback."""
-        from dataclasses import replace
         pinned = replace(device, allow_fast_path=False)
         assert pinned.fast_path_class is None
         before = controller_mod.kernel_counters()["fallback_device"]
@@ -181,21 +192,19 @@ class TestForcedFallbacks:
         assert (controller_mod.kernel_counters()["fallback_toolchain"]
                 >= before + 3)
 
-    def test_fast_cells_were_exercised(self):
-        """Sanity on the suite itself: the dispatch counters show every
-        kernel class and every fallback reason ran during this module
-        — the compiled classes only where the twin exists, since
-        without it (the ``REPRO_FASTLOOP=0`` leg) every cell the twin
-        would serve is a toolchain fallback."""
-        # One deterministic cell per kernel class, so the assertion
-        # never depends on what hypothesis happened to sample above.
+    def test_fast_cells_were_exercised(self, expected_dispatch):
+        """Sanity on the suite itself: one deterministic cell per
+        dispatch class, one reverted per-bank cell and one ineligible
+        device leave exactly the counters this configuration implies —
+        compiled hits where the twin exists, toolchain fallbacks on the
+        ``REPRO_FASTLOOP=0`` leg."""
+        pinned = replace(controller_for("2D_DDR3").device,
+                         allow_fast_path=False)
+        controller_mod.reset_kernel_counters()
         for arch in ("COMET", "2D_DDR3", "COSMOS"):
             assert_tiers_identical(make_cell(arch, "mcf", 64, 2))
-        counters = controller_mod.kernel_counters()
-        twin = _fastloop.available()
-        assert counters["fast_per_bank"] > 0
-        assert (counters["twin_per_bank"] > 0) == twin
-        assert (counters["fast_shared_bus"] > 0) == twin
-        assert (counters["fast_global_queue"] > 0) == twin
-        assert counters["fallback_device"] > 0
-        assert counters["fallback_toolchain"] > 0
+        assert_tiers_identical(
+            make_cell("COMET", "lbm", 1500, 1, queue_depth=8))
+        assert_tiers_identical(make_device_cell(pinned, "mcf", 64, 2))
+        assert controller_mod.kernel_counters() == expected_dispatch(
+            per_bank=1, shared_bus=1, global_queue=1, reverted=1, device=1)

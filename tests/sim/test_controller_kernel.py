@@ -1,13 +1,13 @@
 """The fast-path dispatch: engagement, fallback, bit-identity.
 
-Each cell is one call into the compiled twin (the numpy prefix-fold
-kernel serves per-bank cells where no toolchain exists); these tests pin
+Each cell is one call into the compiled twin (the Python mirror serves
+it where no toolchain exists); these tests pin
 
 * that each device class dispatches where it claims (per-bank chains
-  exactly on contention-free devices with per-bank queues), and to the
-  scalar recurrences when a class is disabled,
+  exactly on contention-free devices with per-bank queues), with the
+  exact counters of both configurations,
 * that engaged or fallback, ``run_fast`` / ``run_arrays(fast=True)``
-  are bit-identical to the scalar ``run`` path and schedule-identical
+  are bit-identical to the mirror's ``run`` path and schedule-identical
   to ``run_reference`` — edge cells included: a one-request trace,
   unsorted arrivals, closed pages, COSMOS's write override,
 * the per-bank admission-stamp semantics (latency measured from the
@@ -17,6 +17,7 @@ kernel serves per-bank cells where no toolchain exists); these tests pin
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,10 +73,11 @@ class TestDispatch:
         device = controller_for("COSMOS").device
         assert device.contention_free and not device.per_bank_queues
 
-    def test_kernel_engages_on_comet(self):
+    def test_kernel_engages_on_comet(self, expected_dispatch):
         trace = cached_trace_arrays("gcc", 800, 1)
         controller_for("COMET").run_arrays(trace)
-        assert controller_mod.kernel_counters()["fast"] == 1
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(per_bank=1)
 
     @pytest.mark.parametrize("arch,kernel_class", [
         ("COSMOS", "global_queue"),
@@ -95,19 +97,20 @@ class TestDispatch:
 
     @pytest.mark.parametrize("arch", ["COSMOS", "3D_DDR4", "EPCM-MM",
                                       "3D_DDR4-closed"])
-    def test_disabled_classes_fall_back_per_device(self, arch):
-        """With every kernel class disabled the old fallback behaviour
-        returns: scalar recurrences, one device fallback per cell."""
-        previous = controller_mod.set_disabled_fast_classes(
-            controller_mod.KERNEL_CLASSES)
-        try:
-            trace = cached_trace_arrays("gcc", 800, 1)
-            controller_for(arch).run_arrays(trace)
-            counters = controller_mod.kernel_counters()
-        finally:
-            controller_mod.set_disabled_fast_classes(previous)
-        assert counters["fast"] == 0
-        assert counters["fallback_device"] == 1
+    def test_disabled_classes_fall_back_per_device(self, arch,
+                                                   expected_dispatch):
+        """A device whose fast path is disabled (``allow_fast_path=
+        False``) has no dispatch class: the Python mirror serves it,
+        one device fallback per cell, with the dispatched stats."""
+        controller = controller_for(arch)
+        pinned = MemoryController(
+            replace(controller.device, allow_fast_path=False),
+            queue_depth=controller.queue_depth)
+        trace = cached_trace_arrays("gcc", 800, 1)
+        stats = pinned.run_arrays(trace)
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(device=1)
+        assert stats.to_dict() == controller.run_arrays(trace).to_dict()
 
     def test_fast_false_pins_the_scalar_path(self):
         trace = cached_trace_arrays("gcc", 800, 1)
@@ -170,13 +173,14 @@ class TestBitIdentity:
         assert messages == {"requests must be sorted by arrival"}
         assert controller_mod.kernel_counters()["fast"] == 0
 
-    def test_run_fast_object_api_matches_run(self):
+    def test_run_fast_object_api_matches_run(self, expected_dispatch):
         trace = cached_trace_arrays("milc", 1200, 3)
         controller = controller_for("COMET")
         fast = controller.run_fast(trace.to_requests(), "milc")
         scalar = controller.run(trace.to_requests(), "milc")
         assert fast.to_dict() == scalar.to_dict()
-        assert controller_mod.kernel_counters()["fast"] == 1
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(per_bank=1)
 
     @staticmethod
     def _assert_identical_service_fields(controller):
@@ -212,7 +216,7 @@ class TestPerBankAdmission:
         # 10 (array, overlapped burst) + 4 (burst) + 10 (interface)
         assert stats.latencies_ns[0] == pytest.approx(24.0)
 
-    def test_stamp_measures_from_bank_queue_slice(self):
+    def test_stamp_measures_from_bank_queue_slice(self, expected_dispatch):
         """With bank queue depth q, request k is admitted no earlier
         than the finish of request k-q of the same bank — so a deep
         same-bank burst has bounded latency, not O(k) queueing."""
@@ -220,7 +224,8 @@ class TestPerBankAdmission:
         controller = MemoryController(device, queue_depth=2)
         burst = [read_at(0.0, 0) for _ in range(12)]
         stats = controller.run_fast(burst)
-        assert controller_mod.kernel_counters()["fast"] == 1
+        assert controller_mod.kernel_counters() \
+            == expected_dispatch(per_bank=1)
         # Chain: start_k = 10k, finish_k = 10k + 14; admitted_k =
         # finish_{k-2} = 10k - 6 for k >= 2; completion_k = 10k + 24.
         assert stats.latencies_ns[0] == pytest.approx(24.0)
@@ -230,7 +235,8 @@ class TestPerBankAdmission:
     def test_binding_stamp_reverts_to_global_queue(self):
         """A depth-1 bank queue stamps admission at the previous finish,
         which lands after the chain start — the cell must revert to the
-        global-queue model, in the kernel and both scalar tiers alike."""
+        global-queue model, in the twin, the mirror and the oracle
+        alike."""
         device = perbank_device(banks=1)
         controller = MemoryController(device, queue_depth=1)
         burst = [read_at(0.0, 0) for _ in range(6)]
@@ -261,21 +267,17 @@ class TestPerBankAdmission:
         scalar = controller.run_arrays(trace, fast=False)
         assert fast.to_dict() == scalar.to_dict()
 
-    def test_revert_with_global_queue_class_disabled(self):
-        """With the global-queue class disabled the twin leaves the
-        revert to the Python path, which counts a device fallback."""
-        previous = controller_mod.set_disabled_fast_classes(
-            {"global_queue"})
-        try:
-            trace = cached_trace_arrays("lbm", 1500, 1)
-            controller = controller_for("COMET", queue_depth=8)
-            fast = controller.run_arrays(trace, fast=True)
-            counters = controller_mod.kernel_counters()
-        finally:
-            controller_mod.set_disabled_fast_classes(previous)
-        assert counters["fallback_admission"] == 1
-        assert counters["fallback_device"] == 1
-        assert counters["fast"] == 0
+    def test_mirror_counts_the_revert_too(self, monkeypatch):
+        """Without the twin the Python mirror makes the revert: the
+        marker is counted beside the cell's toolchain fallback."""
+        monkeypatch.setenv(_fastloop.FASTLOOP_ENV_VAR, "0")
+        trace = cached_trace_arrays("lbm", 1500, 1)
+        controller = controller_for("COMET", queue_depth=8)
+        fast = controller.run_arrays(trace, fast=True)
+        assert controller_mod.kernel_counters() == {
+            "fast": 0, "fast_per_bank": 0, "fast_shared_bus": 0,
+            "fast_global_queue": 0, "fallback_device": 0,
+            "fallback_admission": 1, "fallback_toolchain": 1}
         assert fast.to_dict() \
             == controller.run_arrays(trace, fast=False).to_dict()
 
@@ -287,34 +289,13 @@ class TestPerBankAdmission:
 
 
 class TestCounters:
-    def test_counters_accumulate_and_reset(self):
+    def test_counters_accumulate_and_reset(self, expected_dispatch):
         trace = cached_trace_arrays("gcc", 500, 1)
         controller_for("COMET").run_arrays(trace)
         controller_for("COSMOS").run_arrays(trace)
         controller_for("2D_DDR3").run_arrays(trace)
-        counters = controller_mod.kernel_counters()
-        if _fastloop.available():
-            # With a toolchain the per-bank cell rides the compiled
-            # twin (attribution, not an extra dispatch).
-            assert counters == {"fast": 3,
-                                "fast_per_bank": 1,
-                                "twin_per_bank": 1,
-                                "fast_shared_bus": 1,
-                                "fast_global_queue": 1,
-                                "fallback_device": 0,
-                                "fallback_admission": 0,
-                                "fallback_toolchain": 0}
-        else:
-            # Without one the numpy prefix-fold kernel serves the
-            # per-bank cell; the other two take the Python path.
-            assert counters == {"fast": 1,
-                                "fast_per_bank": 1,
-                                "twin_per_bank": 0,
-                                "fast_shared_bus": 0,
-                                "fast_global_queue": 0,
-                                "fallback_device": 0,
-                                "fallback_admission": 0,
-                                "fallback_toolchain": 2}
+        assert controller_mod.kernel_counters() == expected_dispatch(
+            per_bank=1, shared_bus=1, global_queue=1)
         controller_mod.reset_kernel_counters()
         assert all(v == 0
                    for v in controller_mod.kernel_counters().values())

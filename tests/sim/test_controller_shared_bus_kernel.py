@@ -11,7 +11,8 @@ is exactly representable and the comparisons are ``==``, not approx.
 
 The second half unit-tests the fallback triggers one by one: a missing
 toolchain (``REPRO_FASTLOOP=0``), a fast-path-ineligible device
-(``allow_fast_path=False``) and the per-bank admission revert.
+(``allow_fast_path=False``), refresh without a shared bus and the
+per-bank admission revert.
 """
 
 from dataclasses import replace
@@ -212,12 +213,48 @@ class TestFallbackTriggers:
         assert after["fallback_device"] == counters["fallback_device"] + 1
         assert after["fast_shared_bus"] == counters["fast_shared_bus"]
 
-    def test_admission_revert_reroutes_to_global_queue_kernel(
+    def test_refresh_without_a_bus_runs_the_mirror(self, expected_dispatch):
+        """Refresh windows [0,15) and [100,115) with no shared bus: the
+        one structure no dispatch class covers, so the Python mirror
+        serves it on every path and counts a device fallback.  The
+        start-time push applies; the second push only re-checks a bus
+        wait, so without a bus it never fires.
+
+        r0 bank0 R arr 0:  start 0 -> push 15; finish 15+20+10=45.
+                                                           latency 50
+        r1 bank1 W arr 5:  start 5 -> push 15; finish 15+30+10=55.
+                                                           latency 55
+        r2 bank0 W arr 10: bank0 free 45; finish 45+30+10=85.
+                                                           latency 80
+        r3 bank1 R arr 12: bank1 free 55; finish 55+20+10=85.
+                                                           latency 78
+        r4 bank0 R arr 20: bank0 free 85; the array finishes at 105,
+           inside the second window, but no bus wait re-checks it;
+           finish 115.                                     latency 100
+        """
+        device = _bus_device(
+            shared_bus=False,
+            refresh=RefreshSpec(interval_ns=100.0, duration_ns=15.0))
+        assert device.fast_path_class is None
+        controller = MemoryController(device, queue_depth=8)
+        trace = _trace(addresses=[0, 64, 0, 64, 0],
+                       is_read=[True, False, False, True, True],
+                       arrivals=[0.0, 5.0, 10.0, 12.0, 20.0])
+        before = controller_mod.kernel_counters()
+        stats = _all_tiers(controller, trace)
+        assert stats.latencies_ns.tolist() == [50.0, 55.0, 80.0, 78.0, 100.0]
+        # busy: bank0 (45-15)+(85-45)+(115-85)=100, bank1 (55-15)+(85-55)=70
+        assert stats.busy_time_ns == 170.0
+        assert stats.sim_time_ns == 120.0
+        assert stats.refresh_count == 1
+        assert _delta(before) == expected_dispatch(device=1)
+
+    def test_admission_revert_reroutes_to_global_queue(
             self, expected_dispatch):
         """A per-bank-queue device whose admission stamps bind (tiny
         queue) reverts to the global-queue schedule: one admission
-        revert plus one global-queue kernel dispatch (a toolchain
-        fallback without the twin)."""
+        revert plus one global-queue hit of the twin (a toolchain
+        fallback without it)."""
         device = MemoryDeviceModel(
             name="micro-perbank",
             line_bytes=64,

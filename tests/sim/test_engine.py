@@ -246,38 +246,23 @@ class TestKernelDispatchCounters:
         assert controller_mod.kernel_counters() \
             == expected_dispatch(shared_bus=6, global_queue=3)
 
-    def test_disabled_classes_count_device_fallbacks(self):
-        previous = controller_mod.set_disabled_fast_classes(
-            controller_mod.KERNEL_CLASSES)
-        try:
-            controller_mod.reset_kernel_counters()
-            run_evaluation(architectures=ARCHS, workloads=WORKLOADS[:1],
-                           num_requests=200, seed=1, workers=1)
-            counters = controller_mod.kernel_counters()
-        finally:
-            controller_mod.set_disabled_fast_classes(previous)
-        assert counters["fallback_device"] == 3
-        assert counters["fast"] == 0
-        assert counters["fallback_toolchain"] == 0
-
-    def test_missing_toolchain_counted_per_cell(self, monkeypatch):
-        """REPRO_FASTLOOP=0: one toolchain fallback per compiled-twin
-        cell, while the pure-numpy per-bank kernel keeps dispatching."""
+    def test_missing_toolchain_counted_per_cell(self, monkeypatch,
+                                                expected_dispatch):
+        """REPRO_FASTLOOP=0: one toolchain fallback per cell, per-bank
+        cells included — the Python mirror serves them all."""
         monkeypatch.setenv(_fastloop.FASTLOOP_ENV_VAR, "0")
         controller_mod.reset_kernel_counters()
         run_evaluation(architectures=ARCHS + ("COMET",),
                        workloads=WORKLOADS[:1],
                        num_requests=200, seed=1, workers=1)
-        counters = controller_mod.kernel_counters()
-        assert counters["fallback_toolchain"] == 3
-        assert counters["fast_per_bank"] == 1
-        assert counters["fast"] == 1
-        assert counters["fallback_device"] == 0
+        assert not _fastloop.available()
+        assert controller_mod.kernel_counters() == expected_dispatch(
+            per_bank=1, shared_bus=2, global_queue=1)
 
     def test_admission_revert_is_a_marker_not_a_terminal(
             self, expected_dispatch):
         """A binding per-bank stamp reverts the cell to the global-queue
-        model, which the compiled twin then serves (the Python path
+        model, which the compiled twin then serves (the Python mirror
         without it): the revert marker and the terminal outcome are
         counted side by side."""
         controller_mod.reset_kernel_counters()

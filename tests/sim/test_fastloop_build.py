@@ -62,7 +62,7 @@ def _run_cells():
     for arch, queue_depth in _CELLS:
         controller = (controller_for(arch) if queue_depth is None
                       else controller_for(arch, queue_depth=queue_depth))
-        spec = controller._twin_spec(controller.device.fast_path_class)
+        spec = controller._twin_spec()
         results.append(_fastloop.run_cell(
             trace.addresses, trace.is_read, trace.arrivals_ns, spec,
             service=True))

@@ -1,6 +1,7 @@
 """Request primitives and the NVMain trace format."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,15 +65,36 @@ class TestRequest:
 
     def test_twin_rejects_a_negative_address_it_is_handed(self):
         """A duck-typed trace that skips the TraceArrays invariants gets
-        a structured error from the compiled entry, never a bank index
-        outside its tables."""
+        the same structured error from the compiled twin and from the
+        Python mirror, never a bank index outside the twin's tables or
+        a silent schedule of the shorter column.  As in the C scan, the
+        first failing request wins, and at one index the sortedness
+        check comes first."""
+        cases = [
+            ([0, -128], [True, True], [0.0, 1.0], "negative address -0x80"),
+            ([0, 64, 128], [True, False], [0.0, 1.0, 2.0],
+             "trace columns must have equal length"),
+            ([0, -128, 64], [True] * 3, [0.0, 2.0, 1.0],
+             "negative address -0x80"),
+            ([0, 64, -128], [True] * 3, [0.0, 2.0, 1.0],
+             "requests must be sorted by arrival"),
+        ]
         controller = controller_for("COMET")
-        if not _fastloop.available():
-            pytest.skip("no C toolchain in this environment")
-        spec = controller._twin_spec("per_bank")
-        with pytest.raises(SimulationError, match="negative address -0x80"):
-            _fastloop.run_cell(np.array([0, -128]), np.array([True, True]),
-                               np.array([0.0, 1.0]), spec)
+        spec = controller._twin_spec()
+        for addresses, is_read, arrivals, message in cases:
+            trace = SimpleNamespace(
+                name="bad", addresses=np.array(addresses),
+                is_read=np.array(is_read), arrivals_ns=np.array(arrivals),
+                total_bytes=128 * len(addresses))
+            columns = (trace.addresses, trace.is_read, trace.arrivals_ns)
+            runs = [lambda: controller.run_arrays(trace, fast=False),
+                    lambda: controller.run_arrays(trace, fast=True),
+                    lambda: _fastloop.run_cell_python(*columns, spec)]
+            if _fastloop.available():
+                runs.append(lambda: _fastloop.run_cell(*columns, spec))
+            for run in runs:
+                with pytest.raises(SimulationError, match=message):
+                    run()
 
     def test_op_token_parsing(self):
         assert OpType.from_token("R") is OpType.READ
