@@ -57,7 +57,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
+from pathlib import Path
 
 from ..errors import SimulationError
 from .engine import POOL_MODES, _resolve_workers
@@ -189,7 +189,7 @@ def _print_profile(table, workers) -> None:
 def _run_grid(args: argparse.Namespace,
               parser: argparse.ArgumentParser) -> int:
     from . import controller, engine
-    from .store import ResultStore, _current_umask
+    from .store import ResultStore, open_staging
     from .sweep import SweepSpec, run_sweep, write_csv, write_json
 
     architectures = ARCHITECTURE_NAMES if args.arch == "ALL" \
@@ -197,7 +197,7 @@ def _run_grid(args: argparse.Namespace,
     workload_names = _grid_workloads(args.workloads or "spec")
     if not workload_names:
         parser.error("--workloads resolved to an empty set")
-    export_stream = None
+    export_stream = export_temp = None
     if args.export and args.export_path != "-":
         # Probe writability before the sweep runs (an unwritable path
         # must not discard hours of computed cells), but stage into a
@@ -207,10 +207,8 @@ def _run_grid(args: argparse.Namespace,
             parser.error(
                 f"--export-path {args.export_path!r} is a directory")
         try:
-            export_stream = tempfile.NamedTemporaryFile(
-                "w", dir=os.path.dirname(args.export_path) or ".",
-                prefix=f".{os.path.basename(args.export_path)}.",
-                newline="", delete=False)
+            export_stream, export_temp = open_staging(
+                Path(args.export_path), "w", newline="")
         except OSError as error:
             parser.error(
                 f"cannot write --export-path {args.export_path!r}: {error}")
@@ -283,16 +281,13 @@ def _run_grid(args: argparse.Namespace,
                 with export_stream:
                     writer(sweep.rows(), export_stream)
                 try:
-                    # Temp files are created 0600; give the finalized
-                    # export normal umask-derived permissions.
-                    os.chmod(export_stream.name, 0o666 & ~_current_umask())
-                    os.replace(export_stream.name, args.export_path)
+                    os.replace(export_temp, args.export_path)
                 except OSError as error:
                     # Don't discard the computed rows: the staged temp
                     # file survives (skip the cleanup unlink below).
                     print(f"error: cannot finalize --export-path "
                           f"{args.export_path!r}: {error}\n"
-                          f"export rows saved in {export_stream.name}",
+                          f"export rows saved in {export_temp}",
                           file=sys.stderr)
                     export_stream = None
                     return 1
@@ -302,7 +297,7 @@ def _run_grid(args: argparse.Namespace,
         if export_stream is not None:    # failed before a complete export
             export_stream.close()
             try:
-                os.unlink(export_stream.name)
+                os.unlink(export_temp)
             except OSError:
                 pass
 

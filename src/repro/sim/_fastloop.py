@@ -24,7 +24,15 @@ turnaround term, the latency reduction) run as numpy passes there.
 CPython float arithmetic *is* C double arithmetic on the host (``+``,
 ``*``, comparisons, ``math.fmod``), and C's integer ``/`` and ``%``
 equal numpy's floor operations on the non-negative addresses both
-paths insist on, so the two are bit-identical by construction.
+paths insist on, so the two are bit-identical by construction.  One
+operation is not transcribed: where the mirror calls ``fmod`` for a
+time's position in its refresh interval, the twin subtracts the start
+of a cached interval that holds the time.  That is the same double:
+``fmod`` is exact, and for an integral interval and a time in
+``[0, 2^52)`` the cached start ``t - fmod(t, interval)`` is an integer
+below 2^53, the exact multiple of the interval, so ``t - start`` is
+the exact remainder of every time up to the next multiple.  Other
+intervals and times take ``fmod``.
 Contraction (``-ffp-contract=off``) and fast-math stay off.  The C
 source keeps no static state (scratch tables are malloc'd per call), so
 threads may run cells concurrently.
@@ -95,7 +103,10 @@ _SANITIZER_FLAGS = {
 # `served - bank_queue_depth` of a bank is ever read, so one slot per
 # queue position suffices), global_loop is _global_loop with its
 # turnaround term from _turnarounds (numpy's multiply(bool, t)), and
-# finish_request is the reduction at the end of run_cell_python.
+# finish_request is the reduction at the end of run_cell_python.  The
+# one step not transcribed is refresh_pos: _global_loop's fmod, read
+# off a cached interval where that gives the same double (see the
+# module docstring).
 # Return codes: 0 served, 1 unsorted arrivals, 2 a negative address,
 # 3 out of memory.
 _C_SOURCE = r"""
@@ -275,6 +286,23 @@ static int per_bank_loop(const repro_cell_spec *s, cell_io *io,
     return 0;
 }
 
+/* fmod(t, interval), read off the cached refresh interval [lo, hi)
+   while t stays in it.  Exact: fmod is, and with an integral interval
+   and 0 <= t < 2^52 the seed t - fmod(t, interval) is k*interval, an
+   integer below 2^53, so t - lo is the exact remainder of every t in
+   [lo, hi).  Any other interval or t takes fmod every time. */
+static inline double refresh_pos(double t, double interval, int windowed,
+                                 double *lo, double *hi)
+{
+    if (t >= *lo && t < *hi) return t - *lo;
+    double pos = fmod(t, interval);
+    if (windowed && t >= 0.0 && t < 0x1p52) {
+        *lo = t - pos;
+        *hi = *lo + interval;
+    }
+    return pos;
+}
+
 /* The global-FIFO recurrence: shared bus and refresh as flagged. */
 static void global_loop(const repro_cell_spec *s, cell_io *io,
                         long long n, double *scratch, long long *iscratch,
@@ -289,6 +317,8 @@ static void global_loop(const repro_cell_spec *s, cell_io *io,
     double bus_free = 0.0, burst = s->burst;
     double interval = s->interval, duration = s->duration;
     int shared_bus = s->shared_bus, has_refresh = s->has_refresh;
+    int windowed = has_refresh && interval == floor(interval);
+    double lo = 0.0, hi = 0.0;   /* empty until the first seed */
     int prev_read = 0;
     reset_io(io);
     for (long long b = 0; b < banks; b++) {
@@ -308,7 +338,7 @@ static void global_loop(const repro_cell_spec *s, cell_io *io,
         double start = bank_free[b];
         if (adm > start) start = adm;
         if (has_refresh) {
-            double pos = fmod(start, interval);
+            double pos = refresh_pos(start, interval, windowed, &lo, &hi);
             if (pos < duration) start = (start - pos) + duration;
         }
         double burst_start = start + array_ns;
@@ -318,7 +348,8 @@ static void global_loop(const repro_cell_spec *s, cell_io *io,
             double bus_ready = bus_free + turn;
             if (bus_ready > burst_start) burst_start = bus_ready;
             if (has_refresh) {
-                double pos = fmod(burst_start, interval);
+                double pos = refresh_pos(burst_start, interval, windowed,
+                                         &lo, &hi);
                 if (pos < duration)
                     burst_start = (burst_start - pos) + duration;
             }

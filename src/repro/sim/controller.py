@@ -474,7 +474,7 @@ class MemoryController:
         first_arrival = requests[0].arrival_ns
         last_completion = max(r.completion_ns for r in requests)
         sim_time = max(last_completion - first_arrival, 1e-9)
-        busy_total = sum(busy)
+        busy_total = _fastloop._left_fold(busy)
         if device.energy.gate_active_power:
             active = min(sim_time, busy_total / device.banks)
         else:
@@ -578,7 +578,7 @@ class MemoryController:
         first_arrival = requests[0].arrival_ns
         last_completion = max(r.completion_ns for r in requests)
         sim_time = max(last_completion - first_arrival, 1e-9)
-        busy = sum(b.busy_ns for b in banks)
+        busy = _fastloop._left_fold(b.busy_ns for b in banks)
         if device.energy.gate_active_power:
             active = min(sim_time, busy / device.banks)
         else:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
-import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -57,11 +58,22 @@ def _sha256(payload: Any) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
-def _current_umask() -> int:
-    """The process umask (os can only report it by setting it)."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return umask
+def open_staging(target: Path, mode: str = "wb", **kwargs):
+    """Create a ``.<target-name>.<suffix>`` staging file beside ``target``.
+
+    The file is created ``O_EXCL`` with mode 0o666, so the kernel
+    applies the process umask: reading the umask would mean setting it,
+    process-wide, under every other thread.  The pid and thread id in
+    the suffix keep concurrent writers apart.  Returns the open file and
+    its path."""
+    for attempt in itertools.count():
+        temp = target.with_name(f".{target.name}.{os.getpid()}-"
+                                f"{threading.get_ident()}-{attempt}")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue    # left behind by a dead writer with these ids
+        return os.fdopen(fd, mode, **kwargs), temp
 
 
 _FINGERPRINT_CACHE: Dict[Tuple[str, str], str] = {}
@@ -411,7 +423,7 @@ class ResultStore:
             + [p for p in self.cells_dir.rglob(".*")]
         for temp in sorted(set(candidates)):
             # Only this store's own staging pattern
-            # (".<target-name>.<rand>", see _atomic_write_bytes) — never
+            # (".<target-name>.<suffix>", see open_staging) — never
             # unrelated hidden files a user or NFS put beside the store
             # (.gitignore, .nfsXXXX silly-renames of open handles).
             if temp.is_file() and self._is_staging_temp(temp.name):
@@ -579,7 +591,7 @@ class ResultStore:
 
     @staticmethod
     def _is_staging_temp(name: str) -> bool:
-        """Matches ``_atomic_write_bytes``'s ``.<target>.<rand>`` names,
+        """Matches :func:`open_staging`'s ``.<target>.<suffix>`` names,
         where the target is an entry, sidecar or metadata file."""
         return name.startswith(".") and (".json." in name
                                          or ".lat." in name)
@@ -614,18 +626,15 @@ class ResultStore:
     @staticmethod
     def _atomic_write_bytes(path: Path, blob: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "wb", dir=path.parent, prefix=f".{path.name}.", delete=False)
+        # Umask-derived permissions keep the store rsync/NFS-shareable.
+        handle, temp = open_staging(path)
         try:
             with handle:
                 handle.write(blob)
-            # NamedTemporaryFile creates 0600; restore umask-derived
-            # permissions so the store stays rsync/NFS-shareable.
-            os.chmod(handle.name, 0o666 & ~_current_umask())
-            os.replace(handle.name, path)
+            os.replace(temp, path)
         except BaseException:
             try:
-                os.unlink(handle.name)
+                os.unlink(temp)
             except OSError:
                 pass
             raise

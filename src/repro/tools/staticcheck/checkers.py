@@ -705,6 +705,24 @@ class FloatExactnessChecker(Checker):
         return findings
 
 
+class UmaskChecker(Checker):
+    name = "umask"
+    description = ("no os.umask call: the umask is read by setting it, "
+                   "process-wide, under every other thread")
+
+    def check_module(self, module: Module,
+                     project: Project) -> Iterable[Finding]:
+        aliases = _import_aliases(module.tree)
+        return [Finding(
+            checker=self.name, path=module.rel, line=node.lineno,
+            message="os.umask() sets the umask of the whole process",
+            hint="create files with os.open(path, flags, 0o666) and "
+                 "directories with mkdir() so the kernel applies it")
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Call)
+            and _resolve(node.func, aliases) == "os.umask"]
+
+
 def _find_function(scope: ast.AST, name: str,
                    depth: Optional[int] = None):
     """First FunctionDef called ``name``; ``depth=1`` looks only at
@@ -724,4 +742,5 @@ ALL_CHECKERS: Tuple[Checker, ...] = (
     DigestCoverageChecker(),
     WireParityChecker(),
     FloatExactnessChecker(),
+    UmaskChecker(),
 )

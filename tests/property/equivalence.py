@@ -9,7 +9,7 @@ builders every equivalence suite draws cells from: registered
 architectures (optionally filtered by fast-path kernel class),
 workloads, request counts, seeds, queue-depth overrides, synthetic
 shared-bus device models whose refresh windows real traces straddle,
-and synthetic row-buffer device models.
+synthetic row-buffer device models, and idle gaps spliced into traces.
 
 Where the compiled twin loads, :func:`assert_tiers_identical` also
 compares its ``CellResult`` with the Python mirror's field for field,
@@ -20,7 +20,7 @@ refresh without a shared bus, the one structure no dispatch class
 covers; the mirror serves both in every tier.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -81,6 +81,35 @@ def queue_depths(min_value=1, max_value=512):
     return st.integers(min_value=min_value, max_value=max_value)
 
 
+#: The longest refresh interval :func:`refresh_specs` draws.
+MAX_REFRESH_INTERVAL = 4000.0
+
+
+@st.composite
+def refresh_specs(draw):
+    """Refresh windows short enough that SPEC-shaped traces straddle
+    many.  Integral intervals too: the twin reads those off a cached
+    window and calls ``fmod`` for the rest."""
+    interval = draw(
+        st.floats(min_value=200.0, max_value=MAX_REFRESH_INTERVAL)
+        | st.integers(min_value=200,
+                      max_value=int(MAX_REFRESH_INTERVAL)).map(float))
+    duration = draw(st.floats(min_value=1.0, max_value=0.4 * interval))
+    return RefreshSpec(interval_ns=interval, duration_ns=duration)
+
+
+def idle_gaps():
+    """``(request index, gap)`` pairs for :func:`with_idle_gaps`, each
+    gap longer than any drawn refresh interval and up to ten of them,
+    so the twin's cached window re-seeds several intervals ahead."""
+    return st.lists(
+        st.tuples(st.integers(min_value=0, max_value=300),
+                  st.floats(min_value=MAX_REFRESH_INTERVAL,
+                            max_value=10 * MAX_REFRESH_INTERVAL,
+                            exclude_min=True)),
+        max_size=4)
+
+
 @st.composite
 def shared_bus_devices(draw):
     """Synthetic fixed-latency shared-bus devices beyond the presets.
@@ -93,11 +122,7 @@ def shared_bus_devices(draw):
     banks = draw(st.integers(min_value=1, max_value=9))
     read_ns = draw(st.floats(min_value=1.0, max_value=80.0))
     write_ns = draw(st.floats(min_value=1.0, max_value=500.0))
-    refresh = None
-    if draw(st.booleans()):
-        interval = draw(st.floats(min_value=200.0, max_value=4000.0))
-        duration = draw(st.floats(min_value=1.0, max_value=0.4 * interval))
-        refresh = RefreshSpec(interval_ns=interval, duration_ns=duration)
+    refresh = draw(st.none() | refresh_specs())
     return MemoryDeviceModel(
         name="synthetic-bus",
         line_bytes=64,
@@ -132,9 +157,7 @@ def row_buffer_devices(draw):
     refresh = None
     if structure == "refresh" \
             or (structure == "shared_bus" and draw(st.booleans())):
-        interval = draw(st.floats(min_value=200.0, max_value=4000.0))
-        duration = draw(st.floats(min_value=1.0, max_value=0.4 * interval))
-        refresh = RefreshSpec(interval_ns=interval, duration_ns=duration)
+        refresh = draw(refresh_specs())
     write_ns = draw(st.none() | st.floats(min_value=1.0, max_value=500.0))
     return MemoryDeviceModel(
         name="synthetic-rows",
@@ -181,6 +204,15 @@ def make_device_cell(device, workload, num_requests, seed, queue_depth=32):
     """Build a :class:`Cell` for a synthetic device model."""
     return Cell(MemoryController(device, queue_depth=queue_depth),
                 cached_trace_arrays(workload, num_requests, seed), workload)
+
+
+def with_idle_gaps(cell, gaps):
+    """``cell`` with each ``(index, gap)`` added to the arrivals from
+    that request on."""
+    arrivals = cell.trace.arrivals_ns.copy()
+    for index, gap in gaps:
+        arrivals[index:] += gap
+    return replace(cell, trace=replace(cell.trace, arrivals_ns=arrivals))
 
 
 def assert_twin_matches_mirror(cell):

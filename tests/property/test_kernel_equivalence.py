@@ -23,10 +23,11 @@ from repro.sim import _fastloop
 from repro.sim import controller as controller_mod
 from repro.sim.engine import controller_for
 
-from equivalence import (architectures, assert_tiers_identical, make_cell,
-                         make_device_cell, queue_depths, request_counts,
-                         row_buffer_devices, seeds, shared_bus_devices,
-                         workloads, ARCHES_BY_CLASS, SHARED_BUS_ARCHES)
+from equivalence import (architectures, assert_tiers_identical, idle_gaps,
+                         make_cell, make_device_cell, queue_depths,
+                         request_counts, row_buffer_devices, seeds,
+                         shared_bus_devices, with_idle_gaps, workloads,
+                         ARCHES_BY_CLASS, SHARED_BUS_ARCHES)
 
 RELAXED = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -85,33 +86,38 @@ class TestKernelEquivalence:
     @given(device=shared_bus_devices(),
            queue_depth=st.integers(min_value=1, max_value=64),
            num_requests=st.integers(min_value=1, max_value=300),
-           seed=st.integers(min_value=0, max_value=1000))
+           seed=st.integers(min_value=0, max_value=1000),
+           gaps=idle_gaps())
     @RELAXED
     def test_synthetic_shared_bus_devices(self, device, queue_depth,
-                                          num_requests, seed):
+                                          num_requests, seed, gaps):
         """Bus devices beyond the presets: random turnaround penalties,
         refresh intervals short enough that every trace straddles
-        windows, burst/array overlap on a bus, single-bank buses."""
-        assert_tiers_identical(
+        windows (integral ones too, which the twin reads off its cached
+        window), idle gaps that skip several windows, burst/array
+        overlap on a bus, single-bank buses."""
+        assert_tiers_identical(with_idle_gaps(
             make_device_cell(device, "mcf", num_requests, seed % 7 + 1,
-                             queue_depth=queue_depth))
+                             queue_depth=queue_depth), gaps))
 
     @given(device=row_buffer_devices(),
            queue_depth=st.integers(min_value=1, max_value=64),
            num_requests=st.integers(min_value=1, max_value=300),
-           seed=st.integers(min_value=0, max_value=1000))
+           seed=st.integers(min_value=0, max_value=1000),
+           gaps=idle_gaps())
     @RELAXED
     def test_synthetic_row_buffer_devices(self, device, queue_depth,
-                                          num_requests, seed):
+                                          num_requests, seed, gaps):
         """Row-buffer devices beyond the presets: open and closed
         pages, bank counts and row sizes off the powers of two, the
         fixed write occupancy override, behind every queue structure —
         refresh without a shared bus included, which has no dispatch
-        class and counts a device fallback."""
+        class and counts a device fallback — on traces with idle gaps
+        longer than a refresh interval."""
         before = controller_mod.kernel_counters()["fallback_device"]
-        assert_tiers_identical(
+        assert_tiers_identical(with_idle_gaps(
             make_device_cell(device, "mcf", num_requests, seed % 7 + 1,
-                             queue_depth=queue_depth))
+                             queue_depth=queue_depth), gaps))
         assert controller_mod.kernel_counters()["fallback_device"] - before \
             == (device.fast_path_class is None)
 

@@ -16,6 +16,7 @@ it where no toolchain exists); these tests pin
 * that two pool threads running the twin at once match a serial run.
 """
 
+import math
 import sys
 from dataclasses import replace
 
@@ -139,6 +140,32 @@ class TestBitIdentity:
         assert fast.active_time_ns == reference.active_time_ns
         assert fast.op_energy_j == pytest.approx(reference.op_energy_j,
                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("per_bank_queues", [True, False])
+    def test_busy_time_folds_left_on_every_path(self, per_bank_queues):
+        """Ten banks, each busy 0.1 ns for one read: a left fold totals
+        0.9999999999999999, a compensated sum (``math.fsum``, and the
+        builtin ``sum`` from Python 3.12 on) 1.0.  The oracle, the twin
+        and the mirror all fold left, on the per-bank chains and on the
+        global queue."""
+        device = perbank_device(banks=10, data_burst_ns=0.0,
+                                read_occupancy_ns=0.1,
+                                burst_overlaps_array=False,
+                                per_bank_queues=per_bank_queues)
+        trace = TraceArrays(name="busy", addresses=np.arange(10) * 128,
+                            is_read=np.ones(10, dtype=bool),
+                            arrivals_ns=np.zeros(10))
+        controller = MemoryController(device, queue_depth=32)
+        assert math.fsum([0.1] * 10) == 1.0
+        spec = controller._twin_spec()
+        columns = (trace.addresses, trace.is_read, trace.arrivals_ns)
+        totals = [controller.run_arrays(trace, fast=True).busy_time_ns,
+                  controller.run_arrays(trace, fast=False).busy_time_ns,
+                  controller.run_reference(trace.to_requests()).busy_time_ns,
+                  _fastloop.run_cell_python(*columns, spec).busy]
+        if _fastloop.available():
+            totals.append(_fastloop.run_cell(*columns, spec).busy)
+        assert totals == [0.9999999999999999] * len(totals)
 
     @pytest.mark.parametrize("arch", ["COMET", "COSMOS", "2D_DDR3",
                                       "EPCM-MM", "3D_DDR4-closed"])

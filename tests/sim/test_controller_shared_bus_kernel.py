@@ -7,7 +7,9 @@ read/write turnaround, the *second* refresh push after the bus wait
 and the overlap bank-release rule — and asserted step by step against
 all three tiers (``run_fast``, ``run``, ``run_reference``).  The
 values use small power-of-two-friendly floats, so every intermediate
-is exactly representable and the comparisons are ``==``, not approx.
+is exactly representable and the comparisons are ``==``, not approx —
+except in the refresh-window edge cases, which pin rounded values on
+purpose and derive each rounding in their docstrings.
 
 The second half unit-tests the fallback triggers one by one: a missing
 toolchain (``REPRO_FASTLOOP=0``), a fast-path-ineligible device
@@ -15,6 +17,7 @@ toolchain (``REPRO_FASTLOOP=0``), a fast-path-ineligible device
 per-bank admission revert.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +170,135 @@ class TestHandComputedSchedules:
                        arrivals=[0.0, 0.0, 0.0])
         stats = _all_tiers(controller, trace)
         assert stats.latencies_ns.tolist() == [35.0, 65.0, 105.0]
+
+
+class TestRefreshWindowEdges:
+    """The twin reads a start's position in its refresh interval off a
+    cached window ``[k*interval, (k+1)*interval)`` instead of calling
+    ``fmod``, so these traces put starts on the window's edges, jump
+    past it, straddle 2^52 ns, and use intervals whose multiples are
+    not all doubles, which the cache must not serve.  Two banks, reads
+    only (no turnaround), windows every 100 ns for 15 ns, unless a test
+    says otherwise; latency = finish + interface(5) - admitted."""
+
+    @staticmethod
+    def _controller(interval=100.0):
+        device = _bus_device(
+            refresh=RefreshSpec(interval_ns=interval, duration_ns=15.0))
+        return MemoryController(device, queue_depth=8)
+
+    def test_starts_on_the_window_edges(self):
+        """Starts at k*interval, at k*interval + duration and one ulp
+        below (k+1)*interval (``below`` = 400 - 2^-44).
+
+        r0 bank0 arr 250: window [200,300); pos 50; burst 270; finish
+           280.                                            latency 35
+        r1 bank1 arr 300 = 3*interval: leaves the window, pos 0 ->
+           push to 315; burst 335; finish 345.             latency 50
+        r2 bank0 arr 315 = 3*interval + duration: pos 15, no push;
+           burst 335 waits for the bus (345); finish 355.  latency 45
+        r3 bank1 arr below: pos 100 - 2^-44, no push; burst below+20
+           (pos 20 - 2^-44 in [400,500)); finish below+30. latency 35
+        r4 bank0 arr 400: start at the new window's lower edge, pos 0
+           -> push to 415; burst 435; finish 445.          latency 50
+        """
+        below = np.nextafter(400.0, 0.0)
+        assert below == 400.0 - 2.0 ** -44
+        trace = _trace(addresses=[0, 64, 0, 64, 0], is_read=[True] * 5,
+                       arrivals=[250.0, 300.0, 315.0, below, 400.0])
+        stats = _all_tiers(self._controller(), trace)
+        assert stats.latencies_ns.tolist() == [35.0, 50.0, 45.0, 35.0, 50.0]
+
+    def test_jump_of_several_intervals(self):
+        """r0 bank0 arr 10: pos 10 -> push to 15; burst 35; finish 45.
+                                                           latency 40
+        r1 bank1 arr 1005, ten intervals on: pos 5 -> push to 1015;
+           burst 1035; finish 1045.                        latency 45
+        r2 bank0 arr 1090: pos 90; burst 1110 lands in the next window
+           (pos 10) -> post-bus push to 1115; finish 1125. latency 40
+        """
+        trace = _trace(addresses=[0, 64, 0], is_read=[True] * 3,
+                       arrivals=[10.0, 1005.0, 1090.0])
+        stats = _all_tiers(self._controller(), trace)
+        assert stats.latencies_ns.tolist() == [40.0, 45.0, 40.0]
+        assert stats.refresh_count == 11      # int((1130 - 10) // 100)
+
+    def test_arrivals_at_and_above_2_52(self):
+        """Times written as offsets from t = 2^52 - 446, so the window
+        [400,500) holds 2^52 (offset 496); doubles are integers here
+        and every step stays exact.
+
+        r0 bank0 arr 446: pos 46; burst 466; finish 476.   latency 35
+        r1 bank1 arr 496 = 2^52: pos 96; burst 516 (pos 16); finish 526.
+                                                           latency 35
+        r2 bank0 arr 500: pos 0 -> push to 515; burst 535; finish 545.
+                                                           latency 50
+        r3 bank1 arr 506: bank1 free 526 (pos 26); burst 546; finish
+           556.                                            latency 55
+        """
+        base = 2.0 ** 52 - 496
+        assert base % 100 == 0
+        trace = _trace(addresses=[0, 64, 0, 64], is_read=[True] * 4,
+                       arrivals=[base + 446, base + 496, base + 500,
+                                 base + 506])
+        assert trace.arrivals_ns[1] == 2.0 ** 52
+        stats = _all_tiers(self._controller(), trace)
+        assert stats.latencies_ns.tolist() == [35.0, 35.0, 50.0, 55.0]
+        assert stats.sim_time_ns == 115.0      # completion 561 - 446
+
+    def test_multiples_that_are_not_doubles(self):
+        """Windows every 101 ns above 2^53, where doubles step by 2:
+        the multiple 2^53 + 109 is no double, so for a start at
+        2^53 + 120, t - fmod(t, 101) rounds to 2^53 + 108, and a window
+        seeded there would put 2^53 + 108 at position 0, where fmod
+        says 100.  Offsets from 2^53, rounding ties to even:
+
+        r0 bank0 arr 100: pos 92; burst 120 (pos 11) -> push to
+           (120 - 11) + 15, i.e. 108 + 15 -> 124; finish 134, + 5 ->
+           140.                                            latency 40
+        r1 bank1 arr 108: pos 100, no push; burst 128 waits for the bus
+           (134, pos 25); finish 144, + 5 -> 148.          latency 40
+        """
+        base = 2.0 ** 53
+        assert math.fmod(base + 108, 101.0) == 100.0
+        trace = _trace(addresses=[0, 64], is_read=[True, True],
+                       arrivals=[base + 100, base + 108])
+        stats = _all_tiers(self._controller(interval=101.0), trace)
+        assert stats.latencies_ns.tolist() == [40.0, 40.0]
+
+    def test_non_integral_interval(self):
+        """Windows every 100.5 ns: the cache never engages, fmod serves
+        every start.
+
+        r0 bank0 arr 201 = 2*100.5: pos 0 -> push to 216; burst 236
+           (pos 35); finish 246.                           latency 50
+        r1 bank1 arr 310: pos 8.5 -> push to 316.5; burst 336.5 (pos
+           35); finish 346.5.                              latency 41.5
+        """
+        trace = _trace(addresses=[0, 64], is_read=[True, True],
+                       arrivals=[201.0, 310.0])
+        stats = _all_tiers(self._controller(interval=100.5), trace)
+        assert stats.latencies_ns.tolist() == [50.0, 41.5]
+
+    def test_non_integral_interval_whose_multiples_round(self):
+        """Windows every 100.1 ns: 3 * 100.1 rounds to 300.29999999999995,
+        just below the exact multiple, so that time still lies at the
+        end of the previous interval (fmod 100.09999999999997), where a
+        window seeded at 300.29999999999995 would read 0 and push it.
+
+        r0 bank0 arr 290: pos 89.8; burst 310 (pos 9.700000000000017)
+           -> push to 315.29999999999995; finish 325.29999999999995.
+                                                latency 40.299999999999955
+        r1 bank1 arr 3 * 100.1: no push; burst 320.29999999999995 waits
+           for the bus (325.29999999999995, pos 24.99999999999997);
+           finish 335.29999999999995.                      latency 40
+        """
+        start = 3 * 100.1
+        assert math.fmod(start, 100.1) == 100.09999999999997
+        trace = _trace(addresses=[0, 64], is_read=[True, True],
+                       arrivals=[290.0, start])
+        stats = _all_tiers(self._controller(interval=100.1), trace)
+        assert stats.latencies_ns.tolist() == [40.299999999999955, 40.0]
 
 
 class TestFallbackTriggers:

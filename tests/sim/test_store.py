@@ -1,14 +1,17 @@
 """Persistent result store: digests, round trips, invalidation."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.__main__ import main as cli_main
 from repro.sim.engine import EvalTask, evaluate_cell
 from repro.sim import store as store_mod
 from repro.sim.store import (
@@ -20,6 +23,26 @@ from repro.sim.store import (
 )
 
 TASK = EvalTask("EPCM-MM", "gcc", 400, 7)
+
+#: Polls the Umask line of /proc/<pid>/status until a stop file
+#: appears, then prints every distinct value it read ("-" where the
+#: platform reports no umask there).  It runs in its own process, so it
+#: reads the umask without setting it and without waiting for the GIL.
+_UMASK_WATCHER = r"""
+import os, sys
+try:
+    status = os.open(f"/proc/{sys.argv[1]}/status", os.O_RDONLY)
+except OSError:
+    status = None
+seen = {"-"} if status is None else set()
+print("watching", flush=True)
+while status is not None and not os.path.exists(sys.argv[2]):
+    for _ in range(64):
+        data = os.pread(status, 8192, 0)
+        at = data.find(b"Umask:")
+        seen.add(data[at + 6:at + 12].strip().decode() if at >= 0 else "-")
+print(*sorted(seen))
+"""
 
 
 @pytest.fixture
@@ -106,6 +129,83 @@ class TestResultStore:
         for path in (store.path_for(TASK),
                      store.path_for(TASK).with_suffix(".lat")):
             assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_concurrent_writers_leave_the_umask_alone(self, store,
+                                                     tmp_path):
+        """Two threads writing entries, sidecars and CSV exports at a
+        1 us switch interval never change the process umask, and every
+        file and shard directory gets the mode it implies.  Reading the
+        umask by setting it to 0 and back let one thread see, or
+        restore, the other's 0.  A second process watches the umask in
+        /proc while the threads write, so even a brief 0 shows."""
+        stats = evaluate_cell(TASK)
+        exports = tmp_path / "exports"
+        exports.mkdir()
+        stop = tmp_path / "stop"
+        grid = ["--arch", "EPCM-MM", "--grid", "--workloads", "gcc",
+                "--requests", "50", "--workers", "1", "--export", "csv"]
+        puts, errors = 150, []
+
+        def writer(worker):
+            try:
+                for k in range(puts):
+                    task = dataclasses.replace(TASK,
+                                               seed=worker * puts + k)
+                    store.put(task, stats)
+                    if k % 50 == 0:
+                        path = exports / f"rows-{worker}-{k}.csv"
+                        assert cli_main(grid + ["--export-path",
+                                                str(path)]) == 0
+            except BaseException as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        old_umask = os.umask(0o027)
+        watcher = subprocess.Popen(
+            [sys.executable, "-c", _UMASK_WATCHER, str(os.getpid()),
+             str(stop)], stdout=subprocess.PIPE, text=True)
+        try:
+            assert watcher.stdout.readline() == "watching\n"
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=writer, args=(worker,))
+                       for worker in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.touch()
+            watched = watcher.communicate(timeout=60)[0].split()
+            left = os.umask(old_umask)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert left == 0o027
+        assert watched and set(watched) <= {"0027", "-"}
+        files = [path for path in store.cells_dir.rglob("*")
+                 if path.is_file()] + list(exports.iterdir())
+        shards = [path for path in store.cells_dir.iterdir()
+                  if path.is_dir()]
+        assert len(files) == 2 * (2 * puts + 3) and shards
+        assert {oct(path.stat().st_mode & 0o777) for path in files} \
+            == {oct(0o640)}
+        assert {oct(path.stat().st_mode & 0o777) for path in shards} \
+            == {oct(0o750)}
+
+    def test_put_steps_past_a_stale_staging_file(self, store):
+        """A staging file left by a dead writer with this pid and thread
+        id is neither reused nor clobbered: the put takes the next
+        name."""
+        path = store.path_for(TASK)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        stale = path.with_name(
+            f".{path.name}.{os.getpid()}-{threading.get_ident()}-0")
+        stale.write_bytes(b"torn")
+        stats = evaluate_cell(TASK)
+        store.put(TASK, stats)
+        assert store.get(TASK) == stats
+        assert stale.read_bytes() == b"torn"
+        assert store.gc().removed_temp_files == [stale]
 
     def test_reopen_preserves_contents(self, store):
         stats = evaluate_cell(TASK)

@@ -377,6 +377,41 @@ class TestFloatExactness:
         assert result.findings == []
 
 
+class TestUmask:
+    def test_umask_call_flagged_anywhere(self, tmp_path):
+        result = _run(tmp_path, {
+            "repro/sim/store.py": """\
+                import os
+
+                def current_umask():
+                    umask = os.umask(0)
+                    os.umask(umask)
+                    return umask
+                """,
+            # Outside every zone, and through a from-import alias.
+            "repro/util/files.py": """\
+                from os import umask as set_umask
+
+                def private():
+                    set_umask(0o077)
+                """,
+        }, select="umask")
+        assert [(f.path.rsplit("/", 1)[1], f.line)
+                for f in result.findings] == [("store.py", 4),
+                                              ("store.py", 5),
+                                              ("files.py", 4)]
+        assert "whole process" in result.findings[0].message
+
+    def test_pragma_suppresses(self, tmp_path):
+        result = _run(tmp_path, {"repro/sim/store.py": """\
+            import os
+
+            def reset():
+                os.umask(0o022)  # staticcheck: allow[umask]
+            """}, select="umask")
+        assert result.findings == []
+
+
 class TestRunner:
     def test_parse_error_becomes_finding(self, tmp_path):
         result = _run(tmp_path, {"repro/sim/broken.py": "def f(:\n"})
@@ -439,7 +474,7 @@ class TestCli:
         assert report["files_scanned"] == 1
         assert set(report["checkers"]) == {
             "determinism", "lock-discipline", "digest-coverage",
-            "wire-parity", "float-exactness"}
+            "wire-parity", "float-exactness", "umask"}
         finding = report["findings"][0]
         assert set(finding) == {"checker", "path", "line", "message",
                                 "hint", "severity"}
@@ -458,5 +493,5 @@ class TestRepoIsClean:
         with every checker active."""
         result = run_checks(REPO_ROOT, ALL_CHECKERS)
         assert [f.describe() for f in result.findings] == []
-        assert len(result.checkers) == 5
+        assert len(result.checkers) == 6
         assert result.files_scanned > 50
