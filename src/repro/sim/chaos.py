@@ -142,6 +142,7 @@ class ChaosDaemon:
             if self.process.poll() is not None:
                 stderr = self.process.stderr.read() \
                     if self.process.stderr else ""
+                self.kill()    # reaped already: closes the pipes
                 raise SimulationError(
                     f"chaos daemon exited during startup "
                     f"(rc {self.process.returncode}): {stderr.strip()}")
@@ -163,18 +164,7 @@ class ChaosDaemon:
 
     def close(self) -> None:
         """Terminate and reap, whatever state the process is in."""
-        if self.process is None:
-            return
-        if self.process.poll() is None:
-            if self._stopped:
-                # SIGTERM/SIGKILL do not reap a stopped process until
-                # it is continued.
-                self.sigcont()
-            self.process.kill()
-            self.process.wait(timeout=10)
-        for stream in (self.process.stdout, self.process.stderr):
-            if stream is not None:
-                stream.close()
+        self.kill()
 
     def __enter__(self) -> "ChaosDaemon":
         return self
@@ -202,14 +192,21 @@ class ChaosDaemon:
 
     def kill(self) -> None:
         """SIGKILL — no shutdown handshake, in-flight requests die with
-        the process (``→ dead`` plus re-dispatch on the coordinator)."""
+        the process (``→ dead`` plus re-dispatch on the coordinator).
+        Reaps it and closes its pipes, which a restart would otherwise
+        leak."""
         if self.process is None:
             return
         if self.process.poll() is None:
             if self._stopped:
+                # SIGTERM/SIGKILL do not reap a stopped process until
+                # it is continued.
                 self.sigcont()
             self.process.kill()
             self.process.wait(timeout=10)
+        for stream in (self.process.stdout, self.process.stderr):
+            if stream is not None:
+                stream.close()
 
     # -- observation --------------------------------------------------------
 

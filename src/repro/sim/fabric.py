@@ -47,9 +47,13 @@ and drives the fleet to completion:
   after ``dead_fleet_grace`` seconds under an elastic source (a
   restarting daemon gets a window to rejoin).
 * **Write-through.**  Completed cells land in the coordinator's local
-  :class:`~repro.sim.store.ResultStore` the moment they arrive, so an
-  interrupted fabric run resumes exactly like an interrupted local
-  sweep, and the final results are bit-identical to a serial
+  :class:`~repro.sim.store.ResultStore`, written on the run's own
+  writer thread: a host's next cell is dispatched the moment a reply
+  arrives, while its cell is written behind it.  ``on_result`` fires on
+  the event loop after its cell's write, in completion order, and the
+  run returns (or raises) only after every completed cell is written.
+  So an interrupted fabric run resumes exactly like an interrupted
+  local sweep, and the final results are bit-identical to a serial
   :func:`~repro.sim.sweep.run_sweep` of the same spec.
 
 Every membership change lands in :class:`FabricResult` provenance:
@@ -81,6 +85,7 @@ import os
 import sys
 import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
@@ -532,7 +537,9 @@ class _FabricRun:
     Everything here mutates on the event loop only, so the deques and
     the membership map need no locking; ``wakeup`` is the notification
     channel (new work queued, a cell completed, a state changed) and
-    ``done`` latches completion or failure.
+    ``done`` latches completion or failure.  The one thread besides the
+    loop is the store's writer, which runs ``store.put`` and touches no
+    run state.
     """
 
     def __init__(self, *, membership: MembershipSource,
@@ -575,6 +582,8 @@ class _FabricRun:
         self._window = 1
         self._requeues: Set["asyncio.Task"] = set()
         self._workers: Set["asyncio.Task"] = set()
+        self._writer: Optional[ThreadPoolExecutor] = None
+        self._reports: Set["asyncio.Task"] = set()
         self._fleet_dead_since: Optional[float] = None
         for address in addresses:
             self._add_host(address)
@@ -881,9 +890,9 @@ class _FabricRun:
 
     def _task_exited(self, task: "asyncio.Task") -> None:
         """A worker or the prober that died of an unexpected exception
-        (a raising ``on_result`` callback, a failed store write) fails
-        the run with that error: nothing else would ever latch ``done``
-        for the cell it lost."""
+        (a membership source that raises) fails the run with that
+        error: nothing else would ever latch ``done`` for the cell it
+        lost."""
         if not task.cancelled() and task.exception() is not None:
             self.fail(task.exception())
 
@@ -942,13 +951,38 @@ class _FabricRun:
             host.completed += 1
             self.results[task] = stats
             self.remaining -= 1
-            if self.store is not None:
-                self.store.put(task, stats, latencies=self.latencies)
+            self._write_behind(task, stats)
+            self.wakeup.set()
+
+    def _write_behind(self, task: EvalTask, stats: SimStats) -> None:
+        """Queue a completed cell's store write on the writer thread and
+        its report on the loop; the worker dispatches its next cell at
+        once."""
+        written = None
+        if self._writer is not None:
+            written = asyncio.wrap_future(self._writer.submit(
+                self.store.put, task, stats, self.latencies))
+        self._reports.add(asyncio.ensure_future(
+            self._report(task, stats, written)))
+
+    async def _report(self, task: EvalTask, stats: SimStats,
+                      written: "Optional[asyncio.Future]") -> None:
+        """``on_result`` for one cell, once its write has landed.  One
+        FIFO writer thread, so writes and reports both follow completion
+        order.  A failing write or callback ends the run with its
+        exception (the first one, if several fail); ``done`` latches
+        once the last cell is reported."""
+        try:
+            if written is not None:
+                await written
             if self.on_result is not None:
                 self.on_result(task, stats)
-            if self.remaining <= 0:
+        except Exception as error:
+            self.fail(error)
+        finally:
+            self._reports.discard(asyncio.current_task())
+            if self.remaining <= 0 and not self._reports:
                 self.done.set()
-            self.wakeup.set()
 
     async def _pause(self) -> None:
         self.wakeup.clear()
@@ -964,6 +998,9 @@ class _FabricRun:
             self.membership.state_reporter = self.state_snapshot
         if self.remaining <= 0:
             self.done.set()
+        if self.store is not None:
+            self._writer = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="fabric-writer")
         for host in list(self.hosts.values()):
             self._spawn_workers(host)
         prober = asyncio.ensure_future(self._prober())
@@ -978,6 +1015,14 @@ class _FabricRun:
                 worker.cancel()
             await asyncio.gather(prober, *self._requeues, *self._workers,
                                  return_exceptions=True)
+            # Every cell whose reply arrived is written and reported
+            # before the run returns or raises; no writer outlives it.
+            try:
+                if self._reports:
+                    await asyncio.wait(self._reports)
+            finally:
+                if self._writer is not None:
+                    self._writer.shutdown(wait=True)
             if isinstance(self.membership, MembershipEndpoint):
                 self.membership.state_reporter = None
             await self.membership.stop()
@@ -1026,8 +1071,10 @@ async def run_fabric_async(
     reason)`` observes every state transition (the chaos tests key
     fault injection off it); ``latencies=False`` trims per-request
     samples from both the wire and the store write-through (archival
-    mode).  An exception raised by ``on_result`` (or by the store
-    write-through) ends the run with that exception.
+    mode).  ``on_result(task, stats)`` runs on the event loop after
+    the cell's store write, in completion order.  An exception raised
+    by ``on_result`` (or by the store write-through) ends the run with
+    that exception, once every cell already completed is written.
 
     The final ``results`` are bit-identical to a serial
     :func:`~repro.sim.sweep.run_sweep` of the same spec — under

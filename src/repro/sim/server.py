@@ -30,7 +30,11 @@ the online layer over them — an asyncio daemon that answers evaluation
   configuration).  Process-pool workers return their dispatch-counter
   deltas with each result, so ``/stats.kernel`` stays accurate for
   ``workers > 1`` under every executor kind.  Store I/O runs on its
-  own small thread pool so disk reads never stall the event loop.
+  own small thread pool so disk reads never stall the event loop; so
+  does an architecture's first task digest, which builds its device.
+  Once a cell's device and workload fingerprints are memoized
+  (:func:`~repro.sim.store.memoized_task_digest`), its digest is one
+  small hash and stays on the loop.
 * **Structured errors.**  Malformed JSON, unknown architectures/
   workloads and bad field types are 4xx-style JSON errors; a cell that
   dies mid-compute comes back as a 5xx JSON error annotated with the
@@ -70,7 +74,7 @@ from .engine import (EvalTask, _resolve_workers, evaluate_cell_checked,
                      evaluate_cell_with_counters, resolve_pool,
                      task_from_dict, task_to_dict)
 from .stats import SimStats, pack_latencies, unpack_latencies
-from .store import ResultStore, task_digest
+from .store import ResultStore, memoized_task_digest, task_digest
 from .sweep import SweepSpec
 
 #: Default size of the in-process LRU over deserialized SimStats.
@@ -483,10 +487,12 @@ class EvalServer:
         ``"coalesced"`` (this request joined an identical in-flight
         computation started by an earlier one).
         """
-        loop = asyncio.get_running_loop()
-        # First digest of an architecture builds its device model
-        # (~0.7 s for COMET) — keep that off the event loop.
-        digest = await loop.run_in_executor(self._io, task_digest, task)
+        digest = memoized_task_digest(task)
+        if digest is None:
+            # First digest of an architecture builds its device model
+            # (~0.7 s for COMET) — keep that off the event loop.
+            digest = await asyncio.get_running_loop().run_in_executor(
+                self._io, task_digest, task)
         stats = self._lru_get(digest)
         if stats is not None:
             self._counters["lru_hits"] += 1

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +75,14 @@ def open_staging(target: Path, mode: str = "wb", **kwargs):
         except FileExistsError:
             continue    # left behind by a dead writer with these ids
         return os.fdopen(fd, mode, **kwargs), temp
+
+
+#: :func:`open_staging`'s ``.<target>.<suffix>`` names, matched on the
+#: target: the metadata file in the store root, an entry or sidecar in
+#: a shard.  Any suffix matches (older builds staged through
+#: ``NamedTemporaryFile``, with random ones).
+_ROOT_STAGING = re.compile(r"\.store\.json\..+")
+_SHARD_STAGING = re.compile(r"\.[0-9a-f]{64}\.(?:json|lat)\..+")
 
 
 _FINGERPRINT_CACHE: Dict[Tuple[str, str], str] = {}
@@ -149,6 +158,21 @@ def task_digest(task: EvalTask) -> str:
             "workload_model": workload_fingerprint(task.workload),
         })
         _DIGEST_CACHE[task] = digest
+    return digest
+
+
+def memoized_task_digest(task: EvalTask) -> Optional[str]:
+    """:func:`task_digest` when both fingerprints are already memoized
+    (a single SHA-256 of a few hundred bytes), else ``None``.
+
+    For callers on an event loop: the first digest of an architecture
+    builds its device model (~0.7 s for COMET), and only that one needs
+    a thread."""
+    digest = _DIGEST_CACHE.get(task)
+    memoized = (("device", task.architecture) in _FINGERPRINT_CACHE
+                and ("workload", task.workload) in _FINGERPRINT_CACHE)
+    if digest is None and memoized:
+        digest = task_digest(task)
     return digest
 
 
@@ -419,14 +443,16 @@ class ResultStore:
                 if not dry_run:
                     sidecar.unlink(missing_ok=True)
         report.removed_sidecars = sorted(removed_sidecars)
-        candidates = [p for p in self.root.glob(".*")] \
-            + [p for p in self.cells_dir.rglob(".*")]
-        for temp in sorted(set(candidates)):
-            # Only this store's own staging pattern
-            # (".<target-name>.<suffix>", see open_staging) — never
-            # unrelated hidden files a user or NFS put beside the store
-            # (.gitignore, .nfsXXXX silly-renames of open handles).
-            if temp.is_file() and self._is_staging_temp(temp.name):
+        # Only the staging files of what this store writes — never
+        # unrelated hidden files a user or NFS put beside the store
+        # (.gitignore, .notes.json.bak, .nfsXXXX silly-renames of open
+        # handles).
+        candidates = [p for p in self.root.glob(".*")
+                      if _ROOT_STAGING.fullmatch(p.name)] \
+            + [p for p in self.cells_dir.glob("*/.*")
+               if _SHARD_STAGING.fullmatch(p.name)]
+        for temp in sorted(candidates):
+            if temp.is_file():
                 report.removed_temp_files.append(temp)
                 if not dry_run:
                     temp.unlink(missing_ok=True)
@@ -588,13 +614,6 @@ class ResultStore:
             # Unreadable, mis-shaped, or addressing a model this build
             # no longer knows: nothing can ever serve it again.
             return None
-
-    @staticmethod
-    def _is_staging_temp(name: str) -> bool:
-        """Matches :func:`open_staging`'s ``.<target>.<suffix>`` names,
-        where the target is an entry, sidecar or metadata file."""
-        return name.startswith(".") and (".json." in name
-                                         or ".lat." in name)
 
     # -- internals ----------------------------------------------------------
 

@@ -9,12 +9,14 @@ and the merged daemon stores — are bit-identical to a serial
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import engine
+from repro.sim.client import AsyncEvalClient
 from repro.sim.engine import EvalTask, evaluate_cell
 from repro.sim.fabric import (StaticMembership, federate_stats_async,
                               partition_index, partition_tasks,
@@ -249,6 +251,20 @@ class TestFabricDispatch:
                     timeout=30)
         run_fleet(scenario)
 
+    def test_failing_store_write_fails_the_run(self, tmp_path):
+        """A write-through that raises on the writer thread ends the run
+        with its error, like a raising ``on_result``."""
+        class FullDisk(ResultStore):
+            def put(self, task, stats, latencies=True):
+                raise OSError(28, "No space left on device")
+
+        async def scenario(servers):
+            with pytest.raises(OSError, match="No space left"):
+                await asyncio.wait_for(run_fabric_async(
+                    SPEC, addresses(servers),
+                    store=FullDisk(tmp_path / "local")), timeout=30)
+        run_fleet(scenario)
+
     def test_dying_prober_fails_the_run(self, monkeypatch):
         """A membership source that raises kills the prober, and
         without it no suspect host would ever be judged again: the run
@@ -291,6 +307,125 @@ class TestFabricDispatch:
         assert report["unreachable"] == 1
         assert report["totals"]["computed"] == SPEC.num_cells
         assert "error" in list(report["hosts"].values())[1]
+
+
+def writer_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("fabric-writer")]
+
+
+class TestWriteBehind:
+    """The coordinator writes each completed cell on the run's writer
+    thread, behind dispatch, and reports it after the write."""
+
+    def test_store_write_does_not_hold_back_dispatch(self, tmp_path,
+                                                     monkeypatch):
+        """The first ``put`` waits until the fleet has computed every
+        cell.  Only dispatches made while that write is still pending
+        can get there: a write on the event loop would block them and
+        see 2 of the 8 cells."""
+        real = engine.evaluate_cell
+        lock = threading.Lock()
+        computed = []
+
+        def counting(task):
+            stats = real(task)
+            with lock:
+                computed.append(task)
+            return stats
+        monkeypatch.setattr(engine, "evaluate_cell", counting)
+        seen = []
+
+        class WaitingStore(ResultStore):
+            def put(self, task, stats, latencies=True):
+                if not seen:
+                    deadline = time.monotonic() + 5.0
+                    while time.monotonic() < deadline:
+                        with lock:
+                            if len(computed) == SPEC.num_cells:
+                                break
+                        time.sleep(0.005)
+                    with lock:
+                        seen.append(len(computed))
+                return super().put(task, stats, latencies)
+        local = WaitingStore(tmp_path / "local")
+
+        async def scenario(servers):
+            return await run_fabric_async(SPEC, addresses(servers),
+                                          store=local, window=1)
+        result = run_fleet(scenario, workers=1)
+        monkeypatch.setattr(engine, "evaluate_cell", real)
+        assert seen == [SPEC.num_cells]
+        assert result.results == run_sweep(SPEC).results
+        assert {task: local.get(task) for task in SPEC.tasks()} \
+            == result.results
+        assert not writer_threads()
+
+    def test_reports_follow_writes_in_completion_order(self, tmp_path,
+                                                        monkeypatch):
+        """``on_result`` fires on the loop after its cell's write, in
+        the order the replies arrived, while slow writes queue up."""
+        arrived, reported = [], []
+        real_eval = AsyncEvalClient.eval_cell
+
+        async def recording(self, task, **kwargs):
+            stats = await real_eval(self, task, **kwargs)
+            arrived.append(task)
+            return stats
+        monkeypatch.setattr(AsyncEvalClient, "eval_cell", recording)
+
+        class SlowStore(ResultStore):
+            def put(self, task, stats, latencies=True):
+                time.sleep(0.02)
+                return super().put(task, stats, latencies)
+        local = SlowStore(tmp_path / "local")
+
+        def on_result(task, stats):
+            assert threading.current_thread() is threading.main_thread()
+            assert local.get(task) == stats
+            reported.append(task)
+
+        async def scenario(servers):
+            return await run_fabric_async(SPEC, addresses(servers),
+                                          store=local, on_result=on_result)
+        result = run_fleet(scenario)
+        assert len(result.results) == SPEC.num_cells
+        assert reported == arrived and len(reported) == SPEC.num_cells
+
+    def test_failed_run_writes_every_cell_it_reported(self, tmp_path,
+                                                      monkeypatch):
+        """One cell's compute always fails and its budget is one
+        attempt, so the run raises while the slow writer still holds
+        completed cells.  Every cell ``on_result`` saw is in the store
+        when the run has raised, and the writer thread is gone."""
+        real = engine.evaluate_cell
+        doomed = SPEC.tasks()[-1]
+
+        def broken_for_one(task):
+            if task == doomed:
+                time.sleep(0.2)     # let other cells complete first
+                raise SimulationError("injected compute failure")
+            return real(task)
+        monkeypatch.setattr(engine, "evaluate_cell", broken_for_one)
+
+        class SlowStore(ResultStore):
+            def put(self, task, stats, latencies=True):
+                time.sleep(0.05)
+                return super().put(task, stats, latencies)
+        local = SlowStore(tmp_path / "local")
+        seen = {}
+
+        async def scenario(servers):
+            with pytest.raises(SimulationError, match="attempts"):
+                await run_fabric_async(
+                    SPEC, addresses(servers), store=local,
+                    on_result=seen.__setitem__, retries=0, backoff=0.0,
+                    cell_attempts=1)
+        run_fleet(scenario, workers=1)
+        assert seen and doomed not in seen
+        assert {task: local.get(task) for task in seen} == seen
+        assert len(local) == len(seen)
+        assert not writer_threads()
 
 
 TASK = EvalTask("EPCM-MM", "gcc", 300, 7)

@@ -324,6 +324,7 @@ class TestMembershipSources:
                     with pytest.raises(urllib.error.HTTPError) as failure:
                         await asyncio.to_thread(
                             urllib.request.urlopen, request, None, 10)
+                    failure.value.close()    # the response's socket
                     assert failure.value.code == 400
             finally:
                 await endpoint.stop()

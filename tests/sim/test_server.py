@@ -9,6 +9,7 @@ clients, and the unix line protocol.
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -22,7 +23,8 @@ from repro.sim.engine import EvalTask, evaluate_cell, task_to_dict
 from repro.sim.server import (EvalServer, FRAME_CONTENT_TYPE,
                               MAX_CELLS_PER_QUERY, _parse_query,
                               decode_frame)
-from repro.sim.store import ResultStore, task_digest
+from repro.sim.store import (ResultStore, clear_fingerprint_cache,
+                             task_digest)
 from repro.sim.sweep import SweepSpec
 
 TASK = EvalTask("EPCM-MM", "gcc", 300, 7)
@@ -213,6 +215,48 @@ class TestServedResults:
             await server.stop()
             return await AsyncEvalClient(address, retries=0).ping()
         assert run_scenario(scenario) is False
+
+
+class TestDigestHop:
+    """A task digest leaves the event loop only when it must build a
+    device: once the fingerprints are memoized it is one small hash."""
+
+    def test_memoized_digest_submits_nothing_to_the_io_pool(self):
+        async def scenario(server):
+            client = AsyncEvalClient(server.http_address)
+            await client.eval_cell(TASK)    # fingerprints TASK's models
+            submitted = []
+            real_submit = server._io.submit
+
+            def counting_submit(fn, *args, **kwargs):
+                submitted.append(fn)
+                return real_submit(fn, *args, **kwargs)
+            server._io.submit = counting_submit
+            repeat = await client.eval_cell(TASK)
+            return submitted, repeat, await client.stats()
+        submitted, repeat, counters = run_scenario(scenario)
+        assert submitted == []
+        assert counters["lru_hits"] == 1
+        assert repeat == evaluate_cell(TASK)
+
+    def test_first_digest_builds_the_device_off_the_loop(self,
+                                                         monkeypatch):
+        clear_fingerprint_cache()
+        real_build = engine.build_device
+        builders = []
+
+        def recording(architecture):
+            builders.append(threading.get_ident())
+            return real_build(architecture)
+        monkeypatch.setattr(engine, "build_device", recording)
+
+        async def scenario(server):
+            stats = await AsyncEvalClient(server.http_address).eval_cell(
+                TASK)
+            return threading.get_ident(), stats
+        loop_thread, stats = run_scenario(scenario)
+        assert builders and loop_thread not in builders
+        assert stats == evaluate_cell(TASK)
 
 
 class TestCoalescing:

@@ -7,11 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.sim import ARCHITECTURE_NAMES, MainMemorySimulator, build_device
 from repro.sim.engine import EvalTask, evaluate_cell
-from repro.sim.stats import SimStats, geometric_mean
+from repro.sim.stats import (HIST_EDGES_NS, SimStats, geometric_mean,
+                             summarize_latencies)
 
 
 def make_stats(**overrides):
@@ -161,6 +164,54 @@ class TestStatsSerialization:
     def test_invalid_sim_time(self):
         with pytest.raises(SimulationError):
             make_stats(sim_time_ns=0.0)
+
+
+def reference_summary(samples):
+    """The latency summary binned one sample at a time: the bin of each
+    sample is the number of edges at or below it."""
+    samples = np.asarray(samples, dtype=np.float64)
+    counts = np.bincount(np.searchsorted(HIST_EDGES_NS, samples,
+                                         side="right"),
+                         minlength=len(HIST_EDGES_NS) + 1)
+    return {
+        "count": int(len(samples)),
+        "mean_ns": float(np.mean(samples)),
+        "min_ns": float(np.min(samples)),
+        "max_ns": float(np.max(samples)),
+        "counts": counts.tolist(),
+    }
+
+
+#: Every bin edge and the doubles one ulp either side of it, plus the
+#: values no device produces but a summary must still place.
+EDGE_CASES = np.concatenate([
+    HIST_EDGES_NS, np.nextafter(HIST_EDGES_NS, np.inf),
+    np.nextafter(HIST_EDGES_NS, -np.inf),
+    [0.0, -0.0, -1.0, -1e300, np.inf, -np.inf, np.nan]]).tolist()
+
+
+class TestLatencySummary:
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_CASES), st.floats()),
+                    min_size=1, max_size=300))
+    @example([float("nan")])
+    @example([1.0])
+    @example(EDGE_CASES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_sample_binning(self, samples):
+        with np.errstate(all="ignore"):    # inf - inf in the mean
+            got = summarize_latencies(samples)
+            want = reference_summary(samples)
+        # repr: NaN and -0.0 compare by their bits, not by ==.
+        assert repr(got) == repr(want)
+        assert all(type(count) is int for count in got["counts"])
+
+    def test_matches_on_a_full_size_cell(self, cell_stats):
+        samples = cell_stats.latencies_ns
+        assert summarize_latencies(samples) == reference_summary(samples)
+
+    def test_empty_samples_rejected(self):
+        with pytest.raises(SimulationError):
+            summarize_latencies([])
 
 
 class TestFactory:

@@ -114,13 +114,34 @@ class TestGc:
         assert not orphan.exists() and not temp.exists()
         assert report.live == 2
 
+    def test_staging_files_of_every_writer_removed(self, store):
+        """Staging files named by ``open_staging`` (entry, sidecar,
+        metadata) and by the older ``NamedTemporaryFile`` writer, which
+        used random suffixes, are all abandoned temp files to gc."""
+        _populate(store)
+        entry = store.path_for(TASK_A)
+        staged = []
+        for target in (entry, entry.with_suffix(".lat"),
+                       store.root / "store.json"):
+            handle, temp = store_mod.open_staging(target)
+            handle.close()
+            staged.append(temp)
+        old_style = entry.with_name(f".{entry.name}.k3x_9qzw")
+        old_style.write_bytes(b"{torn")
+        report = store.gc()
+        assert sorted(report.removed_temp_files) \
+            == sorted(staged + [old_style])
+        assert report.live == 2
+
     def test_unrelated_hidden_files_survive(self, store):
         """gc must only touch the store's own staging pattern — never a
-        user's dotfiles or NFS silly-rename files beside the entries."""
+        user's dotfiles or NFS silly-rename files beside the entries,
+        even when their names contain ``.json.`` or ``.lat.``."""
         _populate(store)
         shard = store.path_for(TASK_A).parent
         keep = [store.root / ".gitignore", shard / ".nfs000000123",
-                store.root / ".DS_Store"]
+                store.root / ".DS_Store", store.root / ".notes.json.bak",
+                shard / ".x.lat.orig"]
         for path in keep:
             path.write_text("keep me")
         staged = store.root / (".store.json.stage1")
