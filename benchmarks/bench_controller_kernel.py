@@ -20,7 +20,7 @@ which is also the toolchain-free fallback):
   compiled hit (hit rate 1.0).
 * **Pool gate** — the warm full grid (every registered architecture x
   SPEC workload) through the engine's thread pool must be bit-identical
-  to serial, at least match fork-pool throughput, and run at a 100%
+  to serial, at least match serial throughput, and run at a 100%
   compiled hit rate (every cell counted ``fast``).
 
 ``main()`` (or the ``BENCH_KERNEL_JSON`` env var under pytest) writes
@@ -134,8 +134,8 @@ def measure_cold_grid(n: int = GRID_N, repeats: int = 3) -> Dict[str, object]:
             twin_photonic += twin_s
     summary = kernel_dispatch_summary(controller_mod.kernel_counters())
 
-    # The full engine pass (trace plane + persistent pool ride along
-    # under fan-out; serially this adds only engine bookkeeping).
+    # The full engine pass, serial: the twin plus the engine's own
+    # bookkeeping.
     t0 = time.perf_counter()
     run_evaluation(num_requests=n, seed=1)
     engine_s = time.perf_counter() - t0
@@ -162,14 +162,13 @@ def measure_cold_grid(n: int = GRID_N, repeats: int = 3) -> Dict[str, object]:
 def measure_pool_grid(n: int = GRID_N, repeats: int = 3,
                       workers: int = 2) -> Dict[str, object]:
     """Warm full grid (every registered architecture x SPEC workload)
-    through the engine's pool abstraction: threads vs fork.
+    through the engine: the thread pool vs the serial path.
 
     Warm means device builds, trace generation and twin compilation are
-    paid before the timers start, so the ratio isolates the execution
-    plane itself — in-process thread submits against fork's pickling,
-    IPC and trace-plane publication.  Bit-identity of the full stats
-    against a serial pass is asserted for both pools on every cell,
-    and the compiled hits (``fast``) must cover the grid.
+    paid before the timers start, so the ratio isolates the fan-out
+    itself.  Bit-identity of the full stats against the serial pass is
+    asserted on every cell, and the compiled hits (``fast``) must cover
+    the grid.
     """
     archs = known_architectures()
     names = sorted(SPEC_WORKLOADS)
@@ -179,32 +178,29 @@ def measure_pool_grid(n: int = GRID_N, repeats: int = 3,
         controller_for(arch)          # device builds are one-time work
     for name in names:
         cached_trace_arrays(name, n, 1)
-    serial = run_evaluation(workers=1, pool="serial", **kwargs)
-
-    times: Dict[str, float] = {}
-    for pool in ("threads", "fork"):
-        # Warm pass builds the pool (fork additionally publishes the
-        # trace plane) and checks bit-identity against serial.
-        warm = run_evaluation(workers=workers, pool=pool, **kwargs)
-        for arch in archs:
-            for name in names:
-                assert warm[arch][name].to_dict() \
-                    == serial[arch][name].to_dict(), (pool, arch, name)
-        times[pool] = _timeit(
-            lambda: run_evaluation(workers=workers, pool=pool, **kwargs),
-            repeats)
+    serial = run_evaluation(workers=1, **kwargs)
+    # The warm pass builds the pool and checks bit-identity.
+    threaded = run_evaluation(workers=workers, **kwargs)
+    for arch in archs:
+        for name in names:
+            assert threaded[arch][name].to_dict() \
+                == serial[arch][name].to_dict(), (arch, name)
+    serial_s = _timeit(lambda: run_evaluation(workers=1, **kwargs),
+                       repeats)
+    threads_s = _timeit(lambda: run_evaluation(workers=workers, **kwargs),
+                        repeats)
 
     controller_mod.reset_kernel_counters()
-    run_evaluation(workers=workers, pool="threads", **kwargs)
+    run_evaluation(workers=workers, **kwargs)
     compiled = controller_mod.kernel_counters()["fast"]
     cells = len(archs) * len(names)
     return {
         "n": n,
         "cells": cells,
         "workers": workers,
-        "threads_s": times["threads"],
-        "fork_s": times["fork"],
-        "threads_over_fork": times["fork"] / times["threads"],
+        "serial_s": serial_s,
+        "threads_s": threads_s,
+        "threads_over_serial": serial_s / threads_s,
         "compiled_dispatches": compiled,
         "compiled_hit_rate": compiled / cells,
     }
@@ -310,20 +306,20 @@ def bench_cold_grid_speedup():
 
 
 def bench_pool_throughput():
-    """Acceptance gate: thread pool >= fork pool on the warm full grid
+    """Acceptance gate: thread pool >= serial on the warm full grid
     (bit-identity is asserted inside the measurement), 100% compiled."""
-    best = _best_attempt(measure_pool_grid, "threads_over_fork",
-                         lambda run: run["threads_over_fork"] >= 1.0)
+    best = _best_attempt(measure_pool_grid, "threads_over_serial",
+                         lambda run: run["threads_over_serial"] >= 1.0)
     print(f"\n  warm full grid (n={best['n']}, {best['cells']} cells, "
           f"{best['workers']} workers)")
-    print(f"  fork pool    : {best['fork_s']:.2f} s")
-    print(f"  thread pool  : {best['threads_s']:.2f} s "
-          f"-> {best['threads_over_fork']:.2f}x")
+    print(f"  serial       : {best['serial_s']:.3f} s")
+    print(f"  thread pool  : {best['threads_s']:.3f} s "
+          f"-> {best['threads_over_serial']:.2f}x")
     print(f"  compiled     : {best['compiled_dispatches']}/{best['cells']} "
           f"cells ({best['compiled_hit_rate']:.0%})")
     _maybe_emit({"pool_grid": best})
-    assert best["threads_over_fork"] >= 1.0, (
-        f"thread pool only {best['threads_over_fork']:.2f}x of fork-pool "
+    assert best["threads_over_serial"] >= 1.0, (
+        f"thread pool only {best['threads_over_serial']:.2f}x of serial "
         f"throughput on the warm grid")
     assert best["compiled_hit_rate"] == 1.0, (
         f"compiled-kernel hit rate {best['compiled_hit_rate']:.2f} < 1.0 "
@@ -354,11 +350,11 @@ def main() -> None:
           f"{grid['photonic_speedup']:.2f}x)")
     print(f"  fast-path hit rate {grid['hit_rate']:.0%}, "
           f"engine wall time {grid['engine_cold_grid_s']:.2f} s")
-    print(f"warm full grid, thread vs fork pool (n={pool['n']}, "
+    print(f"warm full grid, thread pool vs serial (n={pool['n']}, "
           f"{pool['cells']} cells):")
-    print(f"  fork {pool['fork_s']:.2f} s -> threads {pool['threads_s']:.2f} "
-          f"s ({pool['threads_over_fork']:.2f}x; compiled hit rate "
-          f"{pool['compiled_hit_rate']:.0%})")
+    print(f"  serial {pool['serial_s']:.3f} s -> threads "
+          f"{pool['threads_s']:.3f} s ({pool['threads_over_serial']:.2f}x; "
+          f"compiled hit rate {pool['compiled_hit_rate']:.0%})")
     if json_path:
         _emit_json({"kernel": kernel, "kernel_small": kernel_small,
                     "refresh": refresh, "cold_grid": grid,

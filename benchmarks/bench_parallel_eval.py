@@ -4,7 +4,7 @@ The legacy baseline is what the seed repo did for every Fig. 9 cell:
 materialize the workload trace as request objects (regenerated per
 architecture) and push them through the original per-request scalar
 controller loop.  The engine replaces that with cached column-store
-traces, the vectorized controller and optional process fan-out.
+traces, the vectorized controller and optional thread fan-out.
 
 ``bench_parallel_eval_speedup`` is the acceptance gate: the full
 (7 architectures x 8 workloads) grid with 4 workers must finish at

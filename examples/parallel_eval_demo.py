@@ -2,7 +2,7 @@
 """Parallel evaluation engine walkthrough.
 
 Runs the Fig. 9 grid through the vectorized serial path and the
-process-parallel path, shows that both produce identical statistics, and
+thread-pool path, shows that both produce identical statistics, and
 then evaluates the scenario axes the SPEC presets do not cover: the
 multi-programmed ``mix_*`` pairs, the phase-change ``bursty`` workload
 and the write-heavy ``checkpoint`` workload.

@@ -68,7 +68,7 @@ def run(num_requests: int = 8000, seed: int = 1,
         store: Optional[Union[str, Path, ResultStore]] = None,
         resume: bool = True,
         server: Optional[str] = None) -> Fig9Result:
-    """Run the grid; ``workers`` > 1 fans it out over processes and
+    """Run the grid; ``workers`` > 1 fans it out over threads and
     ``workloads`` swaps in a non-default set (e.g. the multi-programmed
     mixes) without changing the reported metrics.
 

@@ -15,8 +15,8 @@ Key entry points:
   ``checkpoint``).
 * :class:`repro.sim.simulator.MainMemorySimulator` — runs a request list.
 * :func:`repro.sim.engine.run_evaluation` — the (architecture x
-  workload) grid, fanned out over worker processes with a deterministic
-  serial fallback.
+  workload) grid, fanned out over a thread pool with results identical
+  to a serial run.
 * :mod:`repro.sim.tracegen` — deterministic vectorized workload
   generators and the per-(workload, n, seed) trace cache.
 * :mod:`repro.sim.trace` — NVMain-format trace reader/writer.

@@ -16,7 +16,6 @@ an NVMain trace file::
 or the full evaluation grid through the parallel engine::
 
     python -m repro.sim --arch ALL --grid --workers 4
-    python -m repro.sim --arch ALL --grid --workers 4 --pool threads
     python -m repro.sim --arch ALL --grid --workloads mcf,bursty,checkpoint
 
 with a persistent result store (incremental + resumable) and export::
@@ -26,7 +25,7 @@ with a persistent result store (incremental + resumable) and export::
         --export csv --export-path fig9.csv
 
 with per-phase timing (trace fetch / device build / simulate / store I/O, fast-path
-scheduler-kernel hit rate, trace-plane segments)::
+scheduler-kernel hit rate)::
 
     python -m repro.sim --arch ALL --grid --profile
 
@@ -60,7 +59,7 @@ import sys
 from pathlib import Path
 
 from ..errors import SimulationError
-from .engine import POOL_MODES, _resolve_workers
+from .engine import _resolve_workers
 from .factory import ARCHITECTURE_NAMES, known_architectures
 from .simulator import MainMemorySimulator, summarize
 from .stats import SimStats
@@ -91,17 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid workload set: 'spec' (default), 'all', "
                              "or a comma-separated list of workload names")
     parser.add_argument("--workers", type=int, default=None,
-                        help="pool workers for --grid (default: "
+                        help="pool threads for --grid (default: "
                              "serial, or $REPRO_EVAL_WORKERS; 0 = one "
                              "per CPU)")
-    parser.add_argument("--pool", choices=("auto",) + POOL_MODES,
-                        default=None,
-                        help="execution pool for --grid: 'threads' "
-                             "(in-process, GIL released by the compiled "
-                             "kernel twin), 'fork' (process pool + "
-                             "shared-memory trace plane), 'serial', or "
-                             "'auto' (threads when the twin compiles; "
-                             "default, or $REPRO_POOL)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="persistent result store for --grid: every "
                              "cell is checkpointed as it completes")
@@ -116,9 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with --grid: print per-phase wall times "
                              "(trace fetch, device build, simulate, "
                              "store I/O), "
-                             "per-pool run timings, the scheduler-kernel "
-                             "hit rate and trace-plane usage after the "
-                             "run")
+                             "fan-out timings and the "
+                             "scheduler-kernel hit rate after the run")
     parser.add_argument("--requests", type=int, default=20_000,
                         help="request count for synthetic workloads")
     parser.add_argument("--seed", type=int, default=1)
@@ -150,16 +140,14 @@ def _print_stats(stats: SimStats) -> None:
         print(f"row hit rate : {stats.row_hit_rate:.1%}")
 
 
-def _print_profile(table, workers) -> None:
+def _print_profile(table) -> None:
     """The ``--profile`` report: per-phase seconds + kernel hit rate."""
     from . import controller, engine
     from .stats import kernel_dispatch_summary
-    from .tracegen import trace_plane_stats
 
     phases = engine.profile_snapshot()
     pools = engine.pool_profile_snapshot()
     kernel = kernel_dispatch_summary(controller.kernel_counters())
-    plane = trace_plane_stats()
     classes = "/".join(
         f"{name} {kernel['per_class'].get(name, 0)}"
         for name in controller.KERNEL_CLASSES)
@@ -177,13 +165,6 @@ def _print_profile(table, workers) -> None:
           f"{fallbacks['device']} device, {fallbacks['toolchain']} "
           f"toolchain, {fallbacks['admission_reverts']} admission "
           f"reverts)", file=table)
-    print(f"  trace plane  : {plane['owned_segments']} segments published "
-          f"({plane['owned_bytes'] / 1024:.0f} KiB), "
-          f"{plane['attached_segments']} attached", file=table)
-    if workers != 1:
-        print("  note: fork workers time their own compute phases; "
-              "per-cell device/simulate deltas are merged back above",
-              file=table)
 
 
 def _run_grid(args: argparse.Namespace,
@@ -220,9 +201,7 @@ def _run_grid(args: argparse.Namespace,
         try:
             # Surface argument-shaped problems (bad worker count, bad
             # $REPRO_EVAL_WORKERS) as usage errors before any cell runs.
-            # The resolved count also drives --profile's fan-out note
-            # (with workers > 1 the compute phases run in the pool).
-            resolved_workers = _resolve_workers(args.workers)
+            _resolve_workers(args.workers)
             store = ResultStore(args.store) if args.store else None
             spec = SweepSpec(
                 architectures=tuple(architectures),
@@ -241,7 +220,7 @@ def _run_grid(args: argparse.Namespace,
             controller.reset_kernel_counters()
         try:
             sweep = run_sweep(spec, store=store, workers=args.workers,
-                              resume=args.resume, pool=args.pool)
+                              resume=args.resume)
         except (SimulationError, OSError) as error:
             # A runtime failure (cell error, disk full mid-checkpoint),
             # not a bad argument: report it plainly and point at the
@@ -272,7 +251,7 @@ def _run_grid(args: argparse.Namespace,
                   f"{row['avg_latency_ns']:13.1f} {row['epb_pj']:11.1f} "
                   f"{row['bw_per_epb']:9.4f}", file=table)
         if args.profile:
-            _print_profile(table, resolved_workers)
+            _print_profile(table)
         if args.export:
             writer = write_csv if args.export == "csv" else write_json
             if export_stream is None:
@@ -451,9 +430,8 @@ def main(argv=None) -> int:
             return 130
     if args.arch == "ALL":
         parser.error("--arch ALL requires --grid")
-    if args.workers is not None or args.workloads is not None \
-            or args.pool is not None:
-        parser.error("--workers/--workloads/--pool only apply with --grid")
+    if args.workers is not None or args.workloads is not None:
+        parser.error("--workers/--workloads only apply with --grid")
     if args.profile:
         parser.error("--profile only applies with --grid")
     if args.store is not None or args.export is not None:

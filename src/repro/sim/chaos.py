@@ -61,8 +61,7 @@ def chaos_serve_main(argv: Optional[List[str]] = None) -> int:
     Identical to ``python -m repro.sim serve`` except that when
     ``REPRO_CHAOS_CELL_DELAY`` is a positive float, every
     ``evaluate_cell`` sleeps that long before computing.  The patch
-    lands before the server (and any fork pool) starts, so every
-    executor kind inherits it.
+    lands before the server starts, so its compute threads see it.
     """
     delay = 0.0
     raw = os.environ.get(CELL_DELAY_ENV, "")
@@ -78,9 +77,9 @@ def chaos_serve_main(argv: Optional[List[str]] = None) -> int:
 
         real_evaluate_cell = engine.evaluate_cell
 
-        def paced_evaluate_cell(task: Any, descriptor: Any = None) -> Any:
+        def paced_evaluate_cell(task: Any) -> Any:
             time.sleep(delay)
-            return real_evaluate_cell(task, descriptor)
+            return real_evaluate_cell(task)
 
         engine.evaluate_cell = paced_evaluate_cell
 

@@ -100,8 +100,7 @@ KERNEL_CLASSES: Tuple[str, ...] = ("per_bank", "shared_bus", "global_queue")
 #: :func:`kernel_counters`; the ``--profile`` CLI, ``/stats.kernel`` and
 #: the kernel bench report the hit rate.
 #: Counters are process-wide and thread-safe (every mutation holds
-#: ``_COUNTER_LOCK``); under fork fan-out each worker keeps its own and
-#: the engine merges the deltas back via :func:`merge_kernel_counters`.
+#: ``_COUNTER_LOCK``).
 # staticcheck: guarded-by[_COUNTER_LOCK, reads]
 _KERNEL_COUNTERS = {
     "fast": 0,
@@ -136,21 +135,6 @@ def reset_kernel_counters() -> None:
     with _COUNTER_LOCK:
         for key in _KERNEL_COUNTERS:
             _KERNEL_COUNTERS[key] = 0
-
-
-def merge_kernel_counters(delta: Dict[str, int]) -> None:
-    """Fold a per-worker counter delta into this process's counters.
-
-    The fork pool's workers dispatch schedules in their own processes;
-    each task returns ``kernel_counters()`` deltas alongside its result
-    and the parent merges them here, so ``--profile`` and the server's
-    ``/stats.kernel`` report the whole grid instead of only the cells
-    the parent scheduled itself.  Unknown keys are accepted (a newer
-    worker may report counters an older parent doesn't know)."""
-    with _COUNTER_LOCK:
-        for key, value in delta.items():
-            if value:
-                _KERNEL_COUNTERS[key] = _KERNEL_COUNTERS.get(key, 0) + value
 
 
 def _count(*keys: str) -> None:

@@ -18,23 +18,16 @@ the online layer over them — an asyncio daemon that answers evaluation
   digest, later arrivals await it (counted in ``/stats`` as
   ``coalesced``).  The shared task is shielded, so one cancelled client
   never aborts a computation other clients are waiting on.
-* **Bounded compute.**  Misses are scheduled onto a bounded executor
-  picked by the engine's pool abstraction
-  (:func:`~repro.sim.engine.resolve_pool` — the ``pool`` argument,
-  then ``REPRO_POOL``, then auto): a multi-worker thread pool wherever
-  the compiled scheduler twin is available (cells run outside the GIL
-  in-process — shared caches, no pickling), a probed
-  ``ProcessPoolExecutor`` when only the GIL-bound tiers exist (with a
-  fall-back to threads in sandboxes that cannot fork), and always a
-  single worker thread for ``workers <= 1`` (the deterministic test
-  configuration).  Process-pool workers return their dispatch-counter
-  deltas with each result, so ``/stats.kernel`` stays accurate for
-  ``workers > 1`` under every executor kind.  Store I/O runs on its
-  own small thread pool so disk reads never stall the event loop; so
-  does an architecture's first task digest, which builds its device.
-  Once a cell's device and workload fingerprints are memoized
-  (:func:`~repro.sim.store.memoized_task_digest`), its digest is one
-  small hash and stays on the loop.
+* **Bounded compute.**  Misses are scheduled onto a thread pool of
+  ``workers`` threads: one for ``workers <= 1`` (the deterministic test
+  configuration), more otherwise.  The compiled scheduler twin runs
+  each cell outside the GIL, so the threads share the process's caches
+  and dispatch counters and hand results back without pickling.  Store
+  I/O runs on its own small thread pool so disk reads never stall the
+  event loop; so does an architecture's first task digest, which
+  builds its device.  Once a cell's device and workload fingerprints
+  are memoized (:func:`~repro.sim.store.memoized_task_digest`), its
+  digest is one small hash and stays on the loop.
 * **Structured errors.**  Malformed JSON, unknown architectures/
   workloads and bad field types are 4xx-style JSON errors; a cell that
   dies mid-compute comes back as a 5xx JSON error annotated with the
@@ -61,17 +54,14 @@ import json
 import sys
 import time
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, Executor, \
-    ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from ..errors import ReproError, SimulationError
-from .controller import merge_kernel_counters
 from .engine import (EvalTask, _resolve_workers, evaluate_cell_checked,
-                     evaluate_cell_with_counters, resolve_pool,
                      task_from_dict, task_to_dict)
 from .stats import SimStats, pack_latencies, unpack_latencies
 from .store import ResultStore, memoized_task_digest, task_digest
@@ -267,7 +257,7 @@ class EvalServer:
     directly via :meth:`handle_query`, ``await stop()``.  ``port=0``
     binds an ephemeral port (read it back from :attr:`http_address`);
     ``workers`` follows the engine convention (``0`` = one per CPU,
-    ``<= 1`` = a single in-process worker thread, the configuration the
+    ``<= 1`` = a single compute thread, the configuration the
     deterministic tests pin).
     """
 
@@ -280,13 +270,11 @@ class EvalServer:
         port: int = 0,
         line_port: Optional[int] = None,
         unix_path: Optional[Union[str, Path]] = None,
-        pool: Optional[str] = None,
     ) -> None:
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
         self.store = store
         self.workers = _resolve_workers(workers)
-        self.pool = pool
         self.host = host
         self.port = port
         self.line_port = line_port
@@ -295,11 +283,11 @@ class EvalServer:
         self._lru: "OrderedDict[str, SimStats]" = OrderedDict()
         self._inflight: Dict[str, "asyncio.Task"] = {}
         self._counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-        self._compute: Optional[Executor] = None
+        self._compute: Optional[ThreadPoolExecutor] = None
         self._io: Optional[ThreadPoolExecutor] = None
         self._servers: List[asyncio.AbstractServer] = []
+        self._handlers: Set["asyncio.Task"] = set()
         self._shutdown = asyncio.Event()
-        self.executor_kind = "none"
         self._started_monotonic: Optional[float] = None
         # Baseline for the fast-path counters: /stats reports this
         # server's delta, not process-lifetime totals (keeps scripted
@@ -313,41 +301,67 @@ class EvalServer:
     async def start(self) -> None:
         """Bind the front-ends and spin up the executors."""
         self._started_monotonic = time.monotonic()
-        self._compute = self._build_compute_pool()
+        self._compute = self._compute_pool()
         self._io = ThreadPoolExecutor(max_workers=2,
                                       thread_name_prefix="eval-store-io")
         http_server = await asyncio.start_server(
-            self._handle_http, self.host, self.port, limit=MAX_BODY_BYTES)
+            self._accept(self._handle_http), self.host, self.port,
+            limit=MAX_BODY_BYTES)
         self.port = http_server.sockets[0].getsockname()[1]
         self._servers.append(http_server)
         if self.line_port is not None:
             line_server = await asyncio.start_server(
-                self._handle_line, self.host, self.line_port,
+                self._accept(self._handle_line), self.host, self.line_port,
                 limit=MAX_BODY_BYTES)
             self.line_port = line_server.sockets[0].getsockname()[1]
             self._servers.append(line_server)
         if self.unix_path is not None:
             self._servers.append(await asyncio.start_unix_server(
-                self._handle_line, self.unix_path, limit=MAX_BODY_BYTES))
+                self._accept(self._handle_line), self.unix_path,
+                limit=MAX_BODY_BYTES))
+
+    def _accept(self, handler: Callable[..., Any]) \
+            -> Callable[[asyncio.StreamReader, asyncio.StreamWriter], None]:
+        """The stream-server callback for ``handler``: each connection
+        runs as a task this server owns, so :meth:`stop` can cancel it.
+        Given a coroutine function instead, the stream server would own
+        the task, and on Python 3.11 it logs a cancelled one at ERROR.
+        """
+        def accept(reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+            task = asyncio.ensure_future(handler(reader, writer))
+            self._handlers.add(task)
+            task.add_done_callback(self._handlers.discard)
+        return accept
 
     async def stop(self) -> None:
-        """Close the front-ends and shut the executors down."""
+        """Close the front-ends, end their open connections, then shut
+        the executors down.
+
+        ``wait_closed()`` does not wait for open connections on every
+        Python, so the connection handlers still running are cancelled
+        and awaited here.  The executors wait for their running cells on
+        a helper thread, which keeps the event loop serving meanwhile.
+        """
         for server in self._servers:
             server.close()
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
+        handlers = list(self._handlers)
+        for handler in handlers:
+            handler.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         if self.unix_path is not None:
             try:
                 Path(self.unix_path).unlink()
             except OSError:
                 pass
-        if self._compute is not None:
-            self._compute.shutdown(wait=True, cancel_futures=True)
-            self._compute = None
-        if self._io is not None:
-            self._io.shutdown(wait=True, cancel_futures=True)
-            self._io = None
+        for executor in (self._compute, self._io):
+            if executor is not None:
+                await asyncio.to_thread(executor.shutdown, wait=True,
+                                        cancel_futures=True)
+        self._compute = self._io = None
         self._shutdown.set()
 
     async def serve_until_shutdown(self) -> None:
@@ -367,50 +381,12 @@ class EvalServer:
         handlers and signal handlers)."""
         self._shutdown.set()
 
-    def _build_compute_pool(self) -> Executor:
-        """The bounded compute executor, chosen via the engine's pool
-        abstraction (constructor ``pool`` > ``REPRO_POOL`` > auto).
-
-        ``workers <= 1`` (and ``pool="serial"``) pins everything to one
-        worker thread — fully deterministic scheduling, the
-        configuration the load-test harness replays.  ``threads`` (the
-        auto pick whenever the compiled scheduler twin is available)
-        runs cells on a multi-worker thread pool, outside the GIL and
-        in-process.  ``fork`` tries a ``ProcessPoolExecutor`` (probed
-        with a no-op so a sandbox that cannot fork fails *here*, not on
-        the first query) and degrades to a thread pool — same results,
-        GIL-bound throughput.
-        """
-        mode = resolve_pool(self.pool)
-        if self.workers <= 1 or mode == "serial":
-            self.executor_kind = "thread"
-            return ThreadPoolExecutor(max_workers=1,
-                                      thread_name_prefix="eval-compute")
-        if mode == "threads":
-            self.executor_kind = "thread"
-            return ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="eval-compute")
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            pool.submit(int, 0).result(timeout=60)
-            self.executor_kind = "process"
-            return pool
-        except Exception:
-            self.executor_kind = "thread"
-            return ThreadPoolExecutor(max_workers=self.workers,
-                                      thread_name_prefix="eval-compute")
-
-    def _rebuild_compute_pool(self) -> Executor:
-        """Replace a broken pool with a fresh one of the same kind.
-
-        Unlike the startup build there is no blocking probe (start
-        already established whether this environment can fork, and this
-        runs on the event loop), and construction is lazy/cheap — the
-        replacement is ready before the next query submits to it.
-        """
-        if self.executor_kind == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers,
+    def _compute_pool(self) -> ThreadPoolExecutor:
+        """The bounded compute executor: ``workers`` threads, one for
+        ``workers <= 1`` (fully deterministic scheduling, the
+        configuration the load-test harness replays).  Construction is
+        lazy and cheap, so a broken pool is replaced on the loop."""
+        return ThreadPoolExecutor(max_workers=max(1, self.workers),
                                   thread_name_prefix="eval-compute")
 
     # -- stats / LRU --------------------------------------------------------
@@ -422,8 +398,9 @@ class EvalServer:
         the rest lets the fabric's membership prober and ``fabric
         stats`` share one health surface — uptime (monotonic seconds
         since :meth:`start`, ``null`` before it), the in-flight
-        resolution count, and the compute pool's kind and size.  Cheap
-        by construction: no store I/O, no executor round-trips.
+        resolution count, and the compute pool's kind (always
+        ``"thread"``) and size.  Cheap by construction: no store I/O,
+        no executor round-trips.
         """
         uptime: Optional[float] = None
         if self._started_monotonic is not None:
@@ -433,17 +410,15 @@ class EvalServer:
             "uptime_s": uptime,
             "inflight": len(self._inflight),
             "workers": self.workers,
-            "executor": self.executor_kind,
+            "executor": "thread",
         }
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """The ``/stats`` payload: counters plus configuration.
 
         ``kernel`` reports the controller's fast-path dispatch counters
-        since this server was constructed.  Thread executors mutate
-        them in-process; process-pool workers return per-cell deltas
-        that :meth:`_resolve_miss` merges, so the numbers are truthful
-        for every executor kind.
+        since this server was constructed; the compute threads update
+        them in this process.
         """
         from .controller import kernel_counters
 
@@ -454,7 +429,7 @@ class EvalServer:
             "lru_entries": len(self._lru),
             "lru_size": self._lru_size,
             "workers": self.workers,
-            "executor": self.executor_kind,
+            "executor": "thread",
             "store": str(self.store.root) if self.store is not None else None,
             # Clamped: a process-wide reset_kernel_counters() after this
             # server's baseline snapshot must not surface as negative
@@ -531,19 +506,8 @@ class EvalServer:
                     self._lru_put(digest, stats)
                     return stats, "store"
             pool = self._compute    # re-read: may have been rebuilt
-            if self.executor_kind == "process":
-                # Workers dispatch in their own process: bring the
-                # per-cell kernel-counter delta home so /stats.kernel
-                # stays truthful under fork.
-                stats, delta = await loop.run_in_executor(
-                    pool, evaluate_cell_with_counters, task)
-                merge_kernel_counters(delta)
-            else:
-                # Thread executors mutate the parent's counters
-                # directly — submitting the counting wrapper here would
-                # double-count every dispatch.
-                stats = await loop.run_in_executor(
-                    pool, evaluate_cell_checked, task)
+            stats = await loop.run_in_executor(
+                pool, evaluate_cell_checked, task)
             self._counters["computed"] += 1
             if self.store is not None:
                 await loop.run_in_executor(
@@ -551,16 +515,15 @@ class EvalServer:
             self._lru_put(digest, stats)
             return stats, "computed"
         except BrokenExecutor as error:
-            # A worker died hard (segfault, OOM-kill): the pool is
-            # unusable for every later query — rebuild it and surface
-            # the failing cell the way the sweep path does.  A broken
-            # process pool fails *every* pending future at once, so
-            # several handlers land here back to back: only the one
-            # whose submission pool is still current replaces it (no
-            # await between the check and the swap), the rest must not
-            # tear down the healthy replacement.
+            # The pool broke: it is unusable for every later query —
+            # rebuild it and surface the failing cell the way the sweep
+            # path does.  A broken pool fails *every* pending future at
+            # once, so several handlers land here back to back: only
+            # the one whose submission pool is still current replaces
+            # it (no await between the check and the swap), the rest
+            # must not tear down the healthy replacement.
             if self._compute is pool:
-                self._compute = self._rebuild_compute_pool()
+                self._compute = self._compute_pool()
                 pool.shutdown(wait=False, cancel_futures=True)
             raise SimulationError(
                 f"grid cell ({task.describe()}) failed: evaluation worker "
@@ -804,8 +767,7 @@ async def _serve(server: EvalServer, quiet: bool = False) -> None:
             print(f"line protocol: unix://{server.unix_path}", flush=True)
         if server.store is not None:
             print(f"store: {server.store.root}", flush=True)
-        print(f"workers: {server.workers} ({server.executor_kind})",
-              flush=True)
+        print(f"workers: {server.workers} (thread)", flush=True)
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
@@ -841,15 +803,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
                         help="result store directory for read-through and "
                              "write-back")
     parser.add_argument("--workers", type=int, default=1,
-                        help="compute workers (1 = single in-process "
-                             "worker thread, N > 1 = pool per --pool, "
-                             "0 = one per CPU)")
-    parser.add_argument("--pool", default=None,
-                        choices=("auto", "threads", "fork", "serial"),
-                        help="compute executor kind for --workers > 1 "
-                             "(default: auto / $REPRO_POOL — threads "
-                             "when the compiled scheduler twin loads, "
-                             "a probed process pool otherwise)")
+                        help="compute threads (0 = one per CPU)")
     parser.add_argument("--lru", type=int, default=DEFAULT_LRU_SIZE,
                         help="in-process LRU entries over deserialized "
                              "stats (0 disables)")
@@ -860,7 +814,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         server = EvalServer(store=args.store, workers=args.workers,
                             lru_size=args.lru, host=args.host,
                             port=args.port, line_port=args.line_port,
-                            unix_path=args.unix, pool=args.pool)
+                            unix_path=args.unix)
     except (SimulationError, OSError) as error:
         parser.error(str(error))
     try:

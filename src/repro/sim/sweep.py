@@ -8,7 +8,8 @@ DSE studies do:
 
 * cells already present in the :class:`~repro.sim.store.ResultStore`
   are skipped (``resume=True``),
-* missing cells are sharded workload-major across worker processes,
+* missing cells are fanned out workload-major over the engine's
+  thread pool,
 * every result is checkpointed to the store the moment it arrives, so
   an interrupted sweep resumes exactly where it stopped and the final
   results are bit-identical to an uninterrupted serial run.
@@ -204,14 +205,12 @@ def run_sweep(
     resume: bool = True,
     on_result: Optional[ResultCallback] = None,
     store_latencies: bool = True,
-    pool: Optional[str] = None,
 ) -> SweepResult:
     """Execute a sweep with store read-through and incremental writes.
 
     Cells already in ``store`` (by content digest) are served from disk
-    when ``resume`` is true; the rest are sharded over ``workers`` pool
-    workers (``0`` = one per CPU; executor kind per ``pool`` /
-    :func:`repro.sim.engine.resolve_pool`) and checkpointed as they
+    when ``resume`` is true; the rest are fanned out over ``workers``
+    pool threads (``0`` = one per CPU) and checkpointed as they
     complete.
     Interrupt it anywhere — a rerun with the same spec and store picks
     up the surviving cells and produces bit-identical final results.
@@ -232,8 +231,7 @@ def run_sweep(
 
     results = evaluate_tasks(
         tasks, workers=workers, store=store, resume=resume,
-        chunksize=len(spec.architectures), on_result=count,
-        store_latencies=store_latencies, pool=pool)
+        on_result=count, store_latencies=store_latencies)
     return SweepResult(spec=spec, results=results,
                        store_hits=len(tasks) - computed_cells,
                        computed=computed_cells)

@@ -32,23 +32,10 @@ column store; ``generate()`` materializes :class:`MemRequest` objects
 from it for the object-based simulator API.  ``cached_trace_arrays``
 memoizes arrays per ``(workload, n, seed)`` so an evaluation grid
 generates each trace once, not once per architecture.
-
-**Zero-copy trace plane.**  For process fan-out, a trace can be
-published once into POSIX shared memory (:func:`share_trace_arrays`)
-and shipped to workers as a tiny :class:`TraceDescriptor` — name,
-shapes, dtypes — instead of regenerating (or pickling) the column
-arrays per worker.  :func:`attach_trace_arrays` maps the columns
-read-only in the consuming process, with a per-process attach cache so
-repeated tasks over one trace attach a segment exactly once.
-:func:`clear_trace_plane` detaches everything and unlinks the segments
-this process created (fork-safe: only the creating pid unlinks).
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
@@ -70,7 +57,7 @@ class TraceArrays:
     """Column-store view of one generated trace.
 
     The arrays are immutable (write-locked) so cached instances can be
-    shared freely between architectures and worker processes; the
+    shared freely between architectures and pool threads; the
     controller's vectorized path consumes them without materializing
     request objects.
     """
@@ -546,225 +533,3 @@ def generate_trace(
     """Generate the canonical trace of one named workload."""
     return get_workload(workload_name).generate(num_requests, seed=seed)
 
-
-# ---------------------------------------------------------------------------
-# zero-copy shared-memory trace plane
-
-
-@dataclass(frozen=True)
-class TraceDescriptor:
-    """Everything a process needs to map a published trace: the shared-
-    memory segment name plus column shapes/metadata.  A descriptor
-    pickles in tens of bytes — this is what the engine's fan-out ships
-    instead of the column arrays."""
-
-    shm_name: str
-    workload: str
-    num_requests: int
-    seed: int
-    line_bytes: int
-    has_thread_ids: bool
-
-    @property
-    def key(self) -> Tuple[str, int, int]:
-        return (self.workload, self.num_requests, self.seed)
-
-
-#: Column layout of one shared segment, in offset order.
-def _segment_layout(n: int, has_threads: bool):
-    """``[(attr, dtype, offset, nbytes)]`` for a segment holding one
-    trace's columns back to back."""
-    layout = []
-    offset = 0
-    for attr, dtype in (("addresses", np.int64), ("arrivals_ns", np.float64),
-                        ("is_read", np.bool_),
-                        *((("thread_ids", np.int64),) if has_threads else ())):
-        nbytes = n * np.dtype(dtype).itemsize
-        layout.append((attr, np.dtype(dtype), offset, nbytes))
-        offset += nbytes
-    return layout, offset
-
-
-#: Segments this process *created* (and their pid, so a forked child
-#: never unlinks its parent's segments): key -> (SharedMemory, descriptor,
-#: owner_pid).  Attached segments (created elsewhere) live separately.
-_SHARED_SEGMENTS: Dict[Tuple[str, int, int], Tuple[object, TraceDescriptor, int]] = {}
-_ATTACHED_TRACES: Dict[str, Tuple[object, TraceArrays]] = {}
-
-#: Cap on concurrently published segments (mirrors the generation
-#: cache's bound): /dev/shm is RAM-backed, so a long-lived server
-#: sweeping many (workload, n, seed) combinations must not accumulate
-#: segments without bound.  Publishing past the cap unlinks the oldest
-#: owned segment first — workers holding its descriptor fall back to
-#: local generation, which is merely slower.
-MAX_OWNED_SEGMENTS = 32
-
-_ATTACH_LOCK = threading.Lock()
-
-
-def _attach_silently(name: str):
-    """Open an existing segment without registering it with the
-    resource tracker.
-
-    Before 3.13 (``track=False``), ``SharedMemory(name=...)`` registers
-    even pure attaches, so the tracker of whichever attaching process
-    exits last unlinks segments it never owned (CPython bpo-39959).
-    Sending ``unregister`` instead would race other attachers through
-    the fork-shared tracker, so registration is suppressed for the
-    duration of the attach.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:    # Python < 3.13
-        from multiprocessing import resource_tracker
-
-        with _ATTACH_LOCK:
-            original = resource_tracker.register
-            resource_tracker.register = \
-                lambda rname, rtype: None if rtype == "shared_memory" \
-                else original(rname, rtype)
-            try:
-                return shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original
-
-
-def share_trace_arrays(workload: str, num_requests: int,
-                       seed: int) -> Optional[TraceDescriptor]:
-    """Publish one trace into shared memory; returns its descriptor.
-
-    Idempotent per ``(workload, n, seed)`` within a process.  Returns
-    ``None`` where POSIX shared memory is unavailable (restricted
-    sandboxes) — callers fall back to per-process generation, which is
-    merely slower.
-    """
-    key = (workload, num_requests, seed)
-    entry = _SHARED_SEGMENTS.get(key)
-    if entry is not None:
-        return entry[1]
-    pid = os.getpid()
-    owned = [k for k, (_shm, _d, owner) in _SHARED_SEGMENTS.items()
-             if owner == pid]
-    while len(owned) >= MAX_OWNED_SEGMENTS:
-        # FIFO eviction (dict preserves insertion order): unlink the
-        # oldest segment this process published.
-        oldest = owned.pop(0)
-        shm, _descriptor, _owner = _SHARED_SEGMENTS.pop(oldest)
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-        try:
-            shm.unlink()
-        except (OSError, FileNotFoundError):
-            pass
-    trace = cached_trace_arrays(workload, num_requests, seed)
-    has_threads = trace.thread_ids is not None
-    layout, total = _segment_layout(len(trace), has_threads)
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    except (ImportError, OSError, PermissionError):
-        return None
-    for attr, dtype, offset, nbytes in layout:
-        column = np.ndarray((len(trace),), dtype=dtype, buffer=shm.buf,
-                            offset=offset)
-        column[:] = getattr(trace, attr)
-    descriptor = TraceDescriptor(
-        shm_name=shm.name, workload=workload, num_requests=num_requests,
-        seed=seed, line_bytes=trace.line_bytes, has_thread_ids=has_threads)
-    _SHARED_SEGMENTS[key] = (shm, descriptor, os.getpid())
-    return descriptor
-
-
-def attach_trace_arrays(descriptor: TraceDescriptor) -> TraceArrays:
-    """Map a published trace read-only (per-process attach cache).
-
-    The returned :class:`TraceArrays` views the shared pages directly —
-    no copy, no regeneration; repeated calls for one segment return the
-    cached view.  If the segment is gone (creator unlinked it), the
-    trace is regenerated locally — correctness never depends on the
-    plane.
-    """
-    cached = _ATTACHED_TRACES.get(descriptor.shm_name)
-    if cached is not None:
-        return cached[1]
-    own = _SHARED_SEGMENTS.get(descriptor.key)
-    if own is not None and own[1].shm_name == descriptor.shm_name:
-        # This process published the segment; serve the source arrays.
-        return cached_trace_arrays(*descriptor.key)
-    try:
-        shm = _attach_silently(descriptor.shm_name)
-    except (ImportError, OSError, PermissionError, FileNotFoundError):
-        return cached_trace_arrays(*descriptor.key)
-    n = descriptor.num_requests
-    layout, _total = _segment_layout(n, descriptor.has_thread_ids)
-    columns = {
-        attr: np.ndarray((n,), dtype=dtype, buffer=shm.buf, offset=offset)
-        for attr, dtype, offset, _nbytes in layout
-    }
-    trace = TraceArrays(
-        name=descriptor.workload,
-        addresses=columns["addresses"],
-        is_read=columns["is_read"],
-        arrivals_ns=columns["arrivals_ns"],
-        line_bytes=descriptor.line_bytes,
-        thread_ids=columns.get("thread_ids"),
-    )
-    # Keep the mapping alive as long as the views are cached — but
-    # bounded like the publisher side: unlinking a segment only removes
-    # its name, the pages stay resident while any attacher keeps its
-    # mapping, so an unbounded attach cache in a long-lived pool worker
-    # would defeat MAX_OWNED_SEGMENTS.
-    while len(_ATTACHED_TRACES) >= MAX_OWNED_SEGMENTS:
-        _name, (old_shm, _trace) = next(iter(_ATTACHED_TRACES.items()))
-        del _ATTACHED_TRACES[_name]
-        try:
-            old_shm.close()
-        except (OSError, BufferError):
-            pass    # views still referenced: GC reclaims when they go
-    _ATTACHED_TRACES[descriptor.shm_name] = (shm, trace)
-    return trace
-
-
-def trace_plane_stats() -> Dict[str, int]:
-    """Observability: segments owned/attached and bytes published."""
-    owned = [entry for entry in _SHARED_SEGMENTS.values()
-             if entry[2] == os.getpid()]
-    return {
-        "owned_segments": len(owned),
-        "owned_bytes": sum(entry[0].size for entry in owned),
-        "attached_segments": len(_ATTACHED_TRACES),
-    }
-
-
-def clear_trace_plane() -> None:
-    """Detach every mapped segment and unlink the ones this process
-    created.  Long-lived servers call this (via
-    ``engine.clear_device_caches``) after model edits so /dev/shm never
-    accumulates segments; fork-safe — a child inheriting the registry
-    closes but never unlinks its parent's segments."""
-    pid = os.getpid()
-    for shm, _descriptor, owner in _SHARED_SEGMENTS.values():
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-        if owner == pid:
-            try:
-                shm.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-    _SHARED_SEGMENTS.clear()
-    for shm, _trace in _ATTACHED_TRACES.values():
-        try:
-            shm.close()
-        except (OSError, BufferError):
-            pass
-    _ATTACHED_TRACES.clear()
-
-
-atexit.register(clear_trace_plane)

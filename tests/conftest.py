@@ -12,10 +12,14 @@ Every test runs under an environment guard: a test that leaves a
 configured through exactly those variables (``REPRO_FASTLOOP=0`` is a
 whole leg) and a leaked change silently reconfigures every later test.
 Use ``monkeypatch.setenv`` / ``delenv``, which restore on teardown.
+
+A second guard fails any test during which the ``asyncio`` logger
+receives an ERROR record.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import pytest
@@ -65,6 +69,37 @@ def environment_guard():
     if leaked:
         pytest.fail(f"test left environment variables changed: {leaked}; "
                     f"use monkeypatch.setenv/delenv", pytrace=False)
+
+
+class _RecordCollector(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(level=logging.ERROR)
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def asyncio_error_guard():
+    """Fail any test during which asyncio logs an ERROR record.
+
+    asyncio reports a callback that raised, or a task exception nobody
+    retrieved, through its logger, not as a warning, so ``-W error``
+    cannot catch it: a connection handler still pending when its event
+    loop closes is cancelled and logged this way."""
+    collector = _RecordCollector()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(collector)
+    try:
+        yield
+    finally:
+        logger.removeHandler(collector)
+    if collector.records:
+        messages = "; ".join(record.getMessage()
+                             for record in collector.records)
+        pytest.fail(f"asyncio logged {len(collector.records)} ERROR "
+                    f"record(s): {messages}", pytrace=False)
 
 
 @pytest.fixture

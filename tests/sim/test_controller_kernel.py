@@ -346,7 +346,7 @@ class TestThreadedTwin:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = evaluate_tasks(tasks, workers=2, pool="threads")
+            threaded = evaluate_tasks(tasks, workers=2)
         finally:
             sys.setswitchinterval(interval)
         for task in tasks:

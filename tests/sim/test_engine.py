@@ -52,8 +52,8 @@ class TestParallelSerialEquivalence:
 
         kwargs = dict(architectures=known_architectures(),
                       workloads=("gcc", "mcf"), num_requests=600, seed=3)
-        serial = run_evaluation(workers=1, pool="serial", **kwargs)
-        threaded = run_evaluation(workers=4, pool="threads", **kwargs)
+        serial = run_evaluation(workers=1, **kwargs)
+        threaded = run_evaluation(workers=4, **kwargs)
         for arch, per_workload in serial.items():
             for workload, stats in per_workload.items():
                 assert threaded[arch][workload].to_dict() == stats.to_dict()
@@ -134,10 +134,8 @@ class TestFailureAnnotation:
 
     @pytest.fixture
     def broken_cell(self, monkeypatch):
-        # The persistent worker pool snapshots the parent at fork time:
-        # recycle it so freshly forked workers see the monkeypatch, and
-        # again afterwards so no later test inherits workers carrying it.
-        engine.shutdown_worker_pool()
+        # Pool threads look engine.evaluate_cell up at call time, so the
+        # monkeypatch reaches the thread pool and the serial path alike.
         real = engine.evaluate_cell
 
         def explode(task):
@@ -146,8 +144,6 @@ class TestFailureAnnotation:
             return real(task)
 
         monkeypatch.setattr(engine, "evaluate_cell", explode)
-        yield
-        engine.shutdown_worker_pool()
 
     def test_serial_failure_names_the_cell(self, broken_cell):
         with pytest.raises(SimulationError, match=
@@ -157,8 +153,8 @@ class TestFailureAnnotation:
                            num_requests=300, seed=9, workers=1)
 
     def test_parallel_failure_names_the_cell(self, broken_cell):
-        """The annotated error pickles back through the pool (or the
-        serial fallback) identically."""
+        """The annotated error comes back through the thread pool
+        exactly as it does on the serial path."""
         with pytest.raises(SimulationError, match=
                            r"grid cell \(EPCM-MM x bursty"):
             run_evaluation(architectures=("EPCM-MM",),
@@ -326,14 +322,6 @@ class TestProfileAttribution:
         engine.reset_profile()
         evaluate_cell(self.TASK)
         assert engine.profile_snapshot()["device_s"] < self.SLEEP_S
-
-    def test_fork_worker_delta_carries_device_s(self, slow_build):
-        """Fork workers ship per-key profile deltas home; the new phase
-        rides along without any merge-side change."""
-        _index, _stats, _counters, delta = engine._evaluate_cell_indexed(
-            (0, self.TASK, None))
-        assert delta["device_s"] >= self.SLEEP_S
-        assert delta["simulate_s"] < self.SLEEP_S
 
 
 class TestWorkloadLookup:

@@ -9,6 +9,7 @@ clients, and the unix line protocol.
 
 import asyncio
 import json
+import logging
 import threading
 import time
 
@@ -764,22 +765,18 @@ class TestHttpMisc:
 
     def test_stats_kernel_counts_process_pool_dispatches(
             self, expected_dispatch):
-        """Satellite of the pool abstraction: a process-pool server
-        merges the workers' per-cell kernel-counter deltas, so
-        /stats.kernel no longer reads zero for fanned-out computes."""
+        """A two-worker daemon's compute threads count their dispatches
+        in the daemon's process, so /stats.kernel reports the cell."""
         from repro.sim import controller as controller_mod
 
         async def scenario(server):
-            if server.executor_kind != "process":
-                return None
             await AsyncEvalClient(server.http_address).eval_cell(TASK)
             return server.stats_snapshot()
 
         controller_mod.reset_kernel_counters()
-        stats = run_scenario(scenario, workers=2, pool="fork")
-        if stats is None:
-            pytest.skip("process pools unavailable in this sandbox")
-        assert stats["executor"] == "process"
+        stats = run_scenario(scenario, workers=2)
+        assert stats["workers"] == 2
+        assert stats["executor"] == "thread"
         assert stats["kernel"] == expected_dispatch(shared_bus=1)
 
     def test_http_shutdown_endpoint(self):
@@ -795,6 +792,109 @@ class TestHttpMisc:
             return status, body
         status, body = asyncio.run(scenario())
         assert status == 200 and body["shutting_down"] is True
+
+
+def pending_handlers():
+    """The running loop's unfinished connection-handler tasks."""
+    return [task for task in asyncio.all_tasks()
+            if task.get_coro().__qualname__ in (
+                "EvalServer._handle_http", "EvalServer._handle_line")]
+
+
+async def close_quietly(writer):
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except ConnectionError:
+        pass
+
+
+class TestStop:
+    def test_stop_ends_a_connection_that_sent_only_a_request_line(self):
+        """The handler waiting for headers is ended by stop(), not left
+        for the loop's close to cancel — which asyncio logs at ERROR."""
+        records = []
+        collector = logging.Handler(logging.ERROR)
+        collector.emit = records.append
+        logger = logging.getLogger("asyncio")
+
+        async def scenario():
+            server = EvalServer(port=0)
+            await server.start()
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(b"POST /eval HTTP/1.1\r\n")
+            await writer.drain()
+            for _ in range(200):
+                if pending_handlers():
+                    break
+                await asyncio.sleep(0.01)
+            opened = len(pending_handlers())
+            await server.stop()
+            left = len(pending_handlers())
+            await close_quietly(writer)
+            return opened, left
+
+        logger.addHandler(collector)
+        try:
+            opened, left = asyncio.run(scenario())
+        finally:
+            logger.removeHandler(collector)
+        assert opened == 1
+        assert left == 0
+        assert [record.getMessage() for record in records] == []
+
+    def test_stop_waits_for_a_running_cell_off_the_loop(self,
+                                                        monkeypatch):
+        """stop() still waits for the cell in flight, but on a helper
+        thread: a heartbeat on the loop keeps ticking meanwhile."""
+        delay = 0.4
+        slow_compute(monkeypatch, delay=delay)
+        started, finished = threading.Event(), threading.Event()
+        slow = engine.evaluate_cell
+
+        def watched(task):
+            started.set()
+            try:
+                return slow(task)
+            finally:
+                finished.set()
+        monkeypatch.setattr(engine, "evaluate_cell", watched)
+
+        async def scenario():
+            server = EvalServer(port=0)
+            await server.start()
+            _reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            body = eval_body(TASK)
+            writer.write(f"POST /eval HTTP/1.1\r\nContent-Length: "
+                         f"{len(body)}\r\n\r\n".encode() + body)
+            await writer.drain()
+            for _ in range(2000):
+                if started.is_set():
+                    break
+                await asyncio.sleep(0.005)
+            assert started.is_set()
+            loop = asyncio.get_running_loop()
+            ticks = [loop.time()]
+
+            async def heartbeat():
+                while True:
+                    await asyncio.sleep(0.005)
+                    ticks.append(loop.time())
+
+            beat = asyncio.ensure_future(heartbeat())
+            await server.stop()
+            ticks.append(loop.time())
+            cell_done = finished.is_set()
+            beat.cancel()
+            await asyncio.gather(beat, return_exceptions=True)
+            await close_quietly(writer)
+            return max(b - a for a, b in zip(ticks, ticks[1:])), cell_done
+
+        biggest_gap, cell_done = asyncio.run(scenario())
+        assert cell_done
+        assert biggest_gap < delay / 4
 
 
 class TestFig9ReadThrough:
