@@ -4,9 +4,12 @@ The CI job runs this end to end against real processes (no pytest, no
 in-process shortcuts): launch ``python -m repro.sim serve`` as a
 subprocess, wait for its ready line, issue one cache-miss query and the
 same query again (served without recomputation — verified via
-``/stats``), fetch the cell in both reply encodings (JSON for a plain
-POST, the binary frame for the ``Accept`` header the bundled clients
-send), then request shutdown and assert the daemon exits 0.
+``/stats``), ask for the cell and the counters through the
+``python -m repro.sim query`` CLI (and check that it refuses a
+``unix://`` address), fetch the cell in both reply encodings (JSON for
+a plain POST, the binary frame for the ``Accept`` header the bundled
+clients send), then request shutdown through the CLI and assert the
+daemon exits 0.
 
 Usage::
 
@@ -36,6 +39,13 @@ def fetch(address: str, accept: str = None):
         data=json.dumps({"task": task_to_dict(TASK)}).encode())
     with urllib.request.urlopen(request, timeout=60) as response:
         return response.headers["Content-Type"], response.read()
+
+
+def query(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m repro.sim query ARGS`` to completion."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.sim", "query", *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ})
 
 
 def main() -> int:
@@ -68,6 +78,23 @@ def main() -> int:
         assert hit == miss, "hit diverged from the computed stats"
         print("hit served without recomputation")
 
+        # The query CLI drives the same sync client: the cell again
+        # (a hit, not a recomputation), the counters, and an address
+        # whose scheme the client refuses.
+        run = query("--server", address, "--arch", TASK.architecture,
+                    "--workload", TASK.workload,
+                    "--requests", str(TASK.num_requests),
+                    "--seed", str(TASK.seed))
+        assert run.returncode == 0, run.stderr
+        assert "bandwidth" in run.stdout, run.stdout
+        assert client.stats()["computed"] == 1, "query CLI recomputed"
+        run = query("--server", address, "--stats")
+        assert run.returncode == 0, run.stderr
+        run = query("--server", "unix:///nowhere", "--stats")
+        assert run.returncode == 1, (run.returncode, run.stderr)
+        assert "unsupported server scheme" in run.stderr, run.stderr
+        print("query CLI: cell served warm, --stats, unix:// refused")
+
         direct = evaluate_cell(TASK)
         assert miss == direct, "served stats differ from direct evaluation"
         print("served stats bit-identical to direct evaluate_cell")
@@ -88,7 +115,8 @@ def main() -> int:
             "EvalClient did not decode a frame"
         print("JSON and frame replies both bit-identical to direct")
 
-        client.shutdown()
+        run = query("--server", address, "--shutdown")
+        assert run.returncode == 0, run.stderr
         code = daemon.wait(timeout=60)
         assert code == 0, f"daemon exited {code}"
         print("clean shutdown")

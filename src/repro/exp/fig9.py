@@ -112,9 +112,9 @@ def main(num_requests: int = 8000,
             result = run(num_requests=num_requests, server=server)
         except (SimulationError, OSError) as error:
             # OSError covers raw transport failures (connection refused,
-            # reset, dead unix socket) that escape the client's own
-            # wrapping — the daemon dying mid-request must be the same
-            # clean exit as a structured server error, not a traceback.
+            # reset) that escape the client's own wrapping — the daemon
+            # dying mid-request must be the same clean exit as a
+            # structured server error, not a traceback.
             print(f"fig9: evaluation server {server!r} failed: {error}",
                   file=sys.stderr)
             raise SystemExit(2)

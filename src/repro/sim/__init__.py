@@ -27,8 +27,9 @@ Key entry points:
   checkpointing and CSV/JSON export.
 * :class:`repro.sim.server.EvalServer` /
   :class:`repro.sim.client.EvalClient` — the async evaluation daemon
-  (HTTP + line protocol, store read-through, request coalescing) and
-  its sync/async clients (``python -m repro.sim serve / query``).
+  (HTTP, store read-through, request coalescing) and its sync/async
+  clients, which share one response reader (``python -m repro.sim
+  serve / query``).
 * :func:`repro.sim.fabric.run_fabric` — distributed sweeps across an
   *elastic* fleet of daemons (digest-prefix partitioning, work
   stealing, failure re-dispatch, health-checked membership with
@@ -39,8 +40,9 @@ Key entry points:
 
 The package does not re-export the serving modules (``server``,
 ``client``, ``fabric``, ``chaos``): import them by their full module
-path.  That keeps ``asyncio``, ``ssl`` and ``http.client`` out of every
-process that only imports the engine.
+path.  That keeps ``asyncio`` and ``ssl`` out of every process that
+only imports the engine; no serving module loads the stdlib HTTP
+client.
 """
 
 from .request import MemRequest, OpType

@@ -43,12 +43,12 @@ or drive a fleet of daemons and fold their stores back together::
     python -m repro.sim merge-stores --into results/ store-a/ store-b/
 
 including as a long-running coordinator over an *elastic* fleet —
-membership comes from a watched host file and/or a join endpoint, and
-hosts that die, recover or join mid-run are handled by the
-health-checked membership state machine::
+membership comes from a watched host file (rewrite it to add or remove
+daemons), and hosts that die, recover or join mid-run are handled by
+the health-checked membership state machine::
 
     python -m repro.sim fabric --watch-hosts fleet.txt \
-        --serve-membership :9090 --arch ALL --store results/
+        --arch ALL --store results/
 """
 
 from __future__ import annotations

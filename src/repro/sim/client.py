@@ -1,18 +1,21 @@
 """Clients for the async evaluation service (:mod:`repro.sim.server`).
 
-Two transports, one reply object:
+One wire protocol, one response reader, two I/O shells:
 
-* ``http://host:port`` — the daemon's HTTP endpoint, spoken by the sync
-  :class:`EvalClient` (stdlib ``http.client``) and the
-  :class:`AsyncEvalClient` (raw asyncio streams).  Both list
-  ``application/x-repro-frame`` in ``Accept``, so a 200 ``/eval`` reply
-  arrives as a binary frame (:func:`repro.sim.server.encode_frame`):
-  a JSON header plus the per-request samples as packed float64, which
-  become read-only views into the reply body without a copy.  Every
-  other reply, and every reply from a daemon that predates frames, is
-  JSON; the ``Content-Type`` of each reply says which.
-* ``unix:///path/to.sock`` — the newline-delimited-JSON line protocol
-  over a unix socket (both clients).
+* The daemon speaks HTTP/1.1 at ``http://host:port``, one request per
+  connection.  :func:`_request_bytes` builds every request and
+  :func:`_response_steps` parses every reply without doing any I/O
+  itself: the sync :class:`EvalClient` feeds it from a blocking socket,
+  the :class:`AsyncEvalClient` from asyncio streams.  Both clients
+  therefore apply the same parse checks and raise the same errors
+  after the same number of attempts.
+* Both list ``application/x-repro-frame`` in ``Accept``, so a 200
+  ``/eval`` reply arrives as a binary frame
+  (:func:`repro.sim.server.encode_frame`): a JSON header plus the
+  per-request samples as packed float64, which become read-only views
+  into the reply body without a copy.  Every other reply, and every
+  reply from a daemon that predates frames, is JSON; the
+  ``Content-Type`` of each reply says which.
 
 ``REPRO_EVAL_SERVER`` names the default server address, which is how
 ``exp/fig9.py`` and the ``python -m repro.sim query`` CLI find a warm
@@ -36,7 +39,6 @@ the wrong shape raises ``SimulationError("malformed server reply:
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
@@ -44,7 +46,8 @@ import socket
 import sys
 import time
 import urllib.parse
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, BinaryIO, Dict, Generator, List, Optional, Sequence,
+                    Tuple)
 
 from ..errors import SimulationError
 from .engine import EvalTask, task_to_dict
@@ -110,30 +113,25 @@ def default_server() -> Optional[str]:
     return os.environ.get(SERVER_ENV_VAR) or None
 
 
-def _split_address(address: Optional[str]) -> Tuple[str, Any]:
-    """Normalize an address into ``("http", (host, port))`` or
-    ``("unix", path)``."""
+def _split_address(address: Optional[str]) -> Tuple[str, int]:
+    """Normalize an address (``http://host:port`` or ``host:port``)
+    into ``(host, port)``."""
     address = address or default_server()
     if not address:
         raise SimulationError(
             f"no evaluation server address: pass one explicitly or set "
             f"${SERVER_ENV_VAR}")
-    if address.startswith("unix://"):
-        path = address[len("unix://"):]
-        if not path:
-            raise SimulationError(f"empty unix socket path in {address!r}")
-        return "unix", path
     if "://" not in address:
         address = "http://" + address
     parsed = urllib.parse.urlsplit(address)
     if parsed.scheme != "http":
         raise SimulationError(
             f"unsupported server scheme {parsed.scheme!r} in {address!r}; "
-            f"use http://host:port or unix:///path")
+            f"use http://host:port")
     if not parsed.hostname or not parsed.port:
         raise SimulationError(
             f"server address {address!r} needs an explicit host and port")
-    return "http", (parsed.hostname, parsed.port)
+    return parsed.hostname, parsed.port
 
 
 def _check_reply(reply: Any, status: Optional[int] = None) -> Dict[str, Any]:
@@ -158,6 +156,81 @@ def _decode_body(raw: bytes, content_type: str = "application/json") \
     except (ValueError, RecursionError) as error:
         raise SimulationError(
             f"malformed server response: {error}") from error
+
+
+def _request_bytes(host: str, port: int, method: str, path: str,
+                   payload: Optional[Dict[str, Any]] = None) -> bytes:
+    """One HTTP/1.1 request as sent on the wire: the head, then the
+    JSON of ``payload`` (no body without one)."""
+    body = json.dumps(payload).encode() if payload is not None else b""
+    head = (f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {host}:{port}\r\n"
+            f"Accept: {ACCEPT}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Connection: close\r\n\r\n").encode("latin-1")
+    return head + body
+
+
+#: The error both shells raise for a response line longer than
+#: ``MAX_BODY_BYTES``, the server's own cap.
+_STREAM_LIMIT_MESSAGE = (
+    f"server response line exceeds the {MAX_BODY_BYTES}-byte stream "
+    f"limit; request latencies=False for very large cells")
+
+
+def _response_steps() -> Generator[Optional[int], bytes, Tuple[int, Any]]:
+    """Parse one HTTP response without doing any I/O.
+
+    A generator that a client shell drives: each ``yield`` asks for the
+    next line (``None``) or for exactly that many body bytes (an
+    ``int``), and the shell sends back the bytes it read.  It returns
+    ``(status, reply)``, the body decoded by :func:`_decode_body`.
+
+    A complete but malformed response raises :class:`SimulationError`,
+    which is not retried: a bad status line, more than
+    ``MAX_HEADER_LINES`` header lines (a peer streaming headers forever
+    must not pin the client here), or a ``Content-Length`` that is not
+    a non-negative integer.  EOF before the status line raises
+    :class:`TransportError`: the daemon died between accept and reply,
+    a restart race.
+    """
+    status_line = yield None
+    if not status_line:
+        raise TransportError(
+            "evaluation server closed the connection before responding")
+    try:
+        status = int(status_line.split()[1])
+    except (IndexError, ValueError):
+        raise SimulationError(
+            f"malformed HTTP status line: {status_line!r}") from None
+    length = 0
+    content_type = ""
+    header_lines = 0
+    while True:
+        line = yield None
+        if line in (b"\r\n", b"\n", b""):
+            break
+        header_lines += 1
+        if header_lines > MAX_HEADER_LINES:
+            raise SimulationError(
+                f"server response has more than {MAX_HEADER_LINES} "
+                f"header lines")
+        name, _, value = line.decode("latin-1").partition(":")
+        name = name.strip().lower()
+        if name == "content-type":
+            content_type = value.strip()
+        elif name == "content-length":
+            try:
+                length = int(value.strip())
+            except ValueError:
+                raise SimulationError(
+                    f"malformed Content-Length header: "
+                    f"{value.strip()!r}") from None
+    if length < 0:
+        raise SimulationError(f"malformed Content-Length header: {length}")
+    body = yield length
+    return status, _decode_body(body, content_type)
 
 
 def _results_to_stats(tasks: Sequence[EvalTask], reply: Dict[str, Any]) \
@@ -193,9 +266,11 @@ def _results_to_stats(tasks: Sequence[EvalTask], reply: Dict[str, Any]) \
 
 
 class EvalClient:
-    """Synchronous client (HTTP or unix line protocol).
+    """Synchronous client: the shared reader over a blocking socket.
 
     ``EvalClient()`` with no address uses ``$REPRO_EVAL_SERVER``.
+    Every call opens one connection (the server speaks ``Connection:
+    close``), and ``timeout`` bounds the connect and each read.
     ``retries`` extra attempts (exponential backoff from ``backoff``
     seconds, jittered) absorb transient transport failures of the
     idempotent operations; shutdown always makes exactly one attempt.
@@ -206,7 +281,7 @@ class EvalClient:
                  retries: int = DEFAULT_RETRIES,
                  backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF) -> None:
-        self.transport, self.target = _split_address(address)
+        self.host, self.port = _split_address(address)
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
@@ -214,55 +289,45 @@ class EvalClient:
 
     # -- transport ----------------------------------------------------------
 
-    def _http_request(self, method: str, path: str,
-                      payload: Optional[Dict[str, Any]] = None) \
-            -> Tuple[int, Any]:
-        host, port = self.target
-        connection = http.client.HTTPConnection(host, port,
-                                                timeout=self.timeout)
-        try:
-            body = json.dumps(payload).encode() if payload is not None \
-                else None
-            headers = {"Accept": ACCEPT}
-            if body is not None:
-                headers["Content-Type"] = "application/json"
-            try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                raw = response.read()
-            except (OSError, http.client.HTTPException) as error:
-                raise TransportError(
-                    f"evaluation server {host}:{port} unreachable: "
-                    f"{error}") from error
-            return response.status, _decode_body(
-                raw, response.getheader("Content-Type", ""))
-        finally:
-            connection.close()
+    @staticmethod
+    def _read(stream: BinaryIO, need: Optional[int]) -> bytes:
+        """One step of :func:`_response_steps`: a line of at most
+        ``MAX_BODY_BYTES`` bytes, or exactly ``need`` body bytes."""
+        if need is None:
+            line = stream.readline(MAX_BODY_BYTES + 1)
+            if len(line) > MAX_BODY_BYTES and not line.endswith(b"\n"):
+                raise SimulationError(_STREAM_LIMIT_MESSAGE)
+            return line
+        chunks = []
+        while need > 0:
+            # Bounded reads: the buffered reader allocates what it is
+            # asked for up front, and a Content-Length is the peer's word.
+            chunk = stream.read(min(need, MAX_BODY_BYTES))
+            if not chunk:
+                raise TransportError("evaluation server closed mid-response")
+            chunks.append(chunk)
+            need -= len(chunk)
+        return b"".join(chunks)
 
-    def _line_request(self, payload: Dict[str, Any]) -> Any:
-        try:
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-                sock.settimeout(self.timeout)
-                sock.connect(self.target)
-                sock.sendall(json.dumps(payload).encode() + b"\n")
-                with sock.makefile("rb") as stream:
-                    line = stream.readline()
-        except OSError as error:
-            raise TransportError(
-                f"evaluation server unix://{self.target} unreachable: "
-                f"{error}") from error
-        if not line:
-            raise TransportError("evaluation server closed the connection")
-        return _decode_body(line)
-
-    def _call_once(self, op: str, path: str, method: str,
+    def _call_once(self, path: str, method: str,
                    payload: Optional[Dict[str, Any]] = None) \
             -> Dict[str, Any]:
-        if self.transport == "unix":
-            message = dict(payload or {})
-            message["op"] = op
-            return _check_reply(self._line_request(message))
-        status, reply = self._http_request(method, path, payload)
+        steps = _response_steps()
+        try:
+            with socket.create_connection((self.host, self.port),
+                                          timeout=self.timeout) as sock:
+                sock.sendall(_request_bytes(self.host, self.port, method,
+                                            path, payload))
+                with sock.makefile("rb") as stream:
+                    need = next(steps)
+                    while True:
+                        need = steps.send(self._read(stream, need))
+        except StopIteration as done:
+            status, reply = done.value
+        except OSError as error:
+            raise TransportError(
+                f"evaluation server {self.host}:{self.port} unreachable: "
+                f"{error}") from error
         return _check_reply(reply, status)
 
     def _call(self, op: str, path: str, method: str,
@@ -273,7 +338,7 @@ class EvalClient:
                 time.sleep(_retry_delay(self.backoff, attempt - 1,
                                         self.max_backoff))
             try:
-                return self._call_once(op, path, method, payload)
+                return self._call_once(path, method, payload)
             except TransportError:
                 if attempt + 1 >= attempts:
                     raise
@@ -309,11 +374,9 @@ class EvalClient:
         return self._call("stats", "/stats", "GET")["stats"]
 
     def health(self) -> Dict[str, Any]:
-        """The daemon's health payload (``GET /healthz`` / op ping):
-        ``ok``, uptime, in-flight count, pool kind and size.  Raises on
-        an unreachable daemon — use :meth:`ping` for a boolean probe."""
-        if self.transport == "unix":
-            return self._call("ping", "", "")
+        """The daemon's ``GET /healthz`` payload: ``ok``, uptime,
+        in-flight count, pool kind and size.  Raises on an unreachable
+        daemon — use :meth:`ping` for a boolean probe."""
         return self._call("ping", "/healthz", "GET")
 
     def ping(self) -> bool:
@@ -329,16 +392,15 @@ class EvalClient:
 
 
 class AsyncEvalClient:
-    """Asyncio client: same wire formats, non-blocking transports.
+    """Asyncio client: the shared reader over asyncio streams.
 
-    HTTP requests open one connection per call (the server speaks
-    ``Connection: close``); unix line-protocol calls do the same for
-    simplicity.  All methods mirror :class:`EvalClient`, including the
-    retry policy (idempotent ops only, shutdown never).  Connections
-    are opened with ``limit=MAX_BODY_BYTES`` — the server's own cap —
-    so a latency-bearing response bigger than asyncio's 64 KiB default
-    stream limit parses instead of surfacing a raw
-    ``LimitOverrunError`` from ``readline()``.
+    All methods mirror :class:`EvalClient`, including the one
+    connection per call and the retry policy (idempotent ops only,
+    shutdown never).  ``timeout`` bounds the connect and each read.
+    Connections are opened with ``limit=MAX_BODY_BYTES``, the server's
+    own cap and the sync shell's line limit, so a response line bigger
+    than asyncio's 64 KiB default stream limit parses instead of
+    surfacing a raw ``LimitOverrunError`` from ``readline()``.
     """
 
     def __init__(self, address: Optional[str] = None,
@@ -346,114 +408,63 @@ class AsyncEvalClient:
                  retries: int = DEFAULT_RETRIES,
                  backoff: float = DEFAULT_BACKOFF,
                  max_backoff: float = DEFAULT_MAX_BACKOFF) -> None:
-        self.transport, self.target = _split_address(address)
+        self.host, self.port = _split_address(address)
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self.max_backoff = max_backoff
 
-    async def _read_line(self, reader: "Any", what: str) -> bytes:
-        """One bounded line read with every failure mode structured:
-        timeouts and closed connections are transport (retryable),
-        limit overruns are malformed-response errors (not)."""
+    async def _read(self, reader: "Any", need: Optional[int]) -> bytes:
+        """One step of :func:`_response_steps`, every failure mode
+        structured: timeouts and closed connections are transport
+        (retryable), limit overruns are malformed-response errors
+        (not)."""
         import asyncio
 
         try:
-            return await asyncio.wait_for(reader.readline(), self.timeout)
+            if need is None:
+                return await asyncio.wait_for(reader.readline(),
+                                              self.timeout)
+            return await asyncio.wait_for(reader.readexactly(need),
+                                          self.timeout)
         except asyncio.TimeoutError as error:
             raise TransportError(
-                f"evaluation server timed out reading {what}") from error
+                "evaluation server timed out mid-response") from error
+        except asyncio.IncompleteReadError as error:
+            raise TransportError(
+                f"evaluation server closed mid-response: {error}") from error
         except (asyncio.LimitOverrunError, ValueError) as error:
-            raise SimulationError(
-                f"server {what} exceeds the {MAX_BODY_BYTES}-byte stream "
-                f"limit; request latencies=False for very large cells"
-            ) from error
+            raise SimulationError(_STREAM_LIMIT_MESSAGE) from error
         except OSError as error:
             # A reset/aborted connection mid-read is transport, exactly
             # like a refused connect.
             raise TransportError(
-                f"evaluation server connection failed reading {what}: "
-                f"{error}") from error
+                f"evaluation server connection failed: {error}") from error
 
-    async def _http_request(self, method: str, path: str,
-                            payload: Optional[Dict[str, Any]] = None) \
-            -> Tuple[int, Any]:
+    async def _call_once(self, path: str, method: str,
+                         payload: Optional[Dict[str, Any]] = None) \
+            -> Dict[str, Any]:
         import asyncio
 
-        host, port = self.target
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=MAX_BODY_BYTES),
+                asyncio.open_connection(self.host, self.port,
+                                        limit=MAX_BODY_BYTES),
                 self.timeout)
         except (OSError, asyncio.TimeoutError) as error:
             raise TransportError(
-                f"evaluation server {host}:{port} unreachable: "
+                f"evaluation server {self.host}:{self.port} unreachable: "
                 f"{error}") from error
+        steps = _response_steps()
         try:
-            body = json.dumps(payload).encode() if payload is not None \
-                else b""
-            head = (f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {host}:{port}\r\n"
-                    f"Accept: {ACCEPT}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    f"Connection: close\r\n\r\n").encode("latin-1")
-            writer.write(head + body)
+            writer.write(_request_bytes(self.host, self.port, method, path,
+                                        payload))
             await writer.drain()
-            status_line = await self._read_line(reader, "HTTP status line")
-            if not status_line:
-                # EOF before a single response byte — the daemon died
-                # between accept and reply (a restart race), so this is
-                # transport, not a malformed response.
-                raise TransportError(
-                    "evaluation server closed the connection before "
-                    "responding")
-            try:
-                status = int(status_line.split()[1])
-            except (IndexError, ValueError):
-                raise SimulationError(
-                    f"malformed HTTP status line: {status_line!r}") from None
-            length = 0
-            content_type = ""
-            header_lines = 0
+            need = next(steps)
             while True:
-                line = await self._read_line(reader, "HTTP header line")
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                header_lines += 1
-                if header_lines > MAX_HEADER_LINES:
-                    # A runaway (or malicious) peer streaming headers
-                    # forever must not pin the client in this loop.
-                    raise SimulationError(
-                        f"server response has more than "
-                        f"{MAX_HEADER_LINES} header lines")
-                name, _, value = line.decode("latin-1").partition(":")
-                name = name.strip().lower()
-                if name == "content-type":
-                    content_type = value.strip()
-                elif name == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError:
-                        # The structured malformed-response path every
-                        # other parse failure takes — never a raw
-                        # ValueError escaping to the caller.
-                        raise SimulationError(
-                            f"malformed Content-Length header: "
-                            f"{value.strip()!r}") from None
-            if length < 0:
-                raise SimulationError(
-                    f"malformed Content-Length header: {length}")
-            try:
-                raw = await asyncio.wait_for(reader.readexactly(length),
-                                             self.timeout)
-            except asyncio.TimeoutError as error:
-                raise TransportError(
-                    "evaluation server timed out mid-response") from error
-            return status, _decode_body(raw, content_type)
-        except asyncio.IncompleteReadError as error:
-            raise TransportError(
-                f"evaluation server closed mid-response: {error}") from error
+                need = steps.send(await self._read(reader, need))
+        except StopIteration as done:
+            status, reply = done.value
         except OSError as error:
             # Write-side resets (the peer dropped us while we sent the
             # request) are transport failures too.
@@ -465,46 +476,6 @@ class AsyncEvalClient:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    async def _line_request(self, payload: Dict[str, Any]) -> Any:
-        import asyncio
-
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_unix_connection(self.target,
-                                             limit=MAX_BODY_BYTES),
-                self.timeout)
-        except (OSError, asyncio.TimeoutError) as error:
-            raise TransportError(
-                f"evaluation server unix://{self.target} unreachable: "
-                f"{error}") from error
-        try:
-            try:
-                writer.write(json.dumps(payload).encode() + b"\n")
-                await writer.drain()
-            except OSError as error:
-                raise TransportError(
-                    f"evaluation server connection failed: "
-                    f"{error}") from error
-            line = await self._read_line(reader, "line-protocol response")
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if not line:
-            raise TransportError("evaluation server closed the connection")
-        return _decode_body(line)
-
-    async def _call_once(self, op: str, path: str, method: str,
-                         payload: Optional[Dict[str, Any]] = None) \
-            -> Dict[str, Any]:
-        if self.transport == "unix":
-            message = dict(payload or {})
-            message["op"] = op
-            return _check_reply(await self._line_request(message))
-        status, reply = await self._http_request(method, path, payload)
         return _check_reply(reply, status)
 
     async def _call(self, op: str, path: str, method: str,
@@ -518,7 +489,7 @@ class AsyncEvalClient:
                 await asyncio.sleep(_retry_delay(self.backoff, attempt - 1,
                                                  self.max_backoff))
             try:
-                return await self._call_once(op, path, method, payload)
+                return await self._call_once(path, method, payload)
             except TransportError:
                 if attempt + 1 >= attempts:
                     raise
@@ -549,8 +520,6 @@ class AsyncEvalClient:
 
     async def health(self) -> Dict[str, Any]:
         """The daemon's health payload, as :meth:`EvalClient.health`."""
-        if self.transport == "unix":
-            return await self._call("ping", "", "")
         return await self._call("ping", "/healthz", "GET")
 
     async def ping(self) -> bool:
@@ -587,7 +556,7 @@ def query_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--server", default=None,
                         help=f"daemon address (default: ${SERVER_ENV_VAR}); "
-                             f"http://host:port or unix:///path")
+                             f"http://host:port")
     parser.add_argument("--arch", choices=ARCHITECTURE_NAMES)
     parser.add_argument("--workload", choices=WORKLOAD_NAMES)
     parser.add_argument("--requests", type=int, default=20_000)

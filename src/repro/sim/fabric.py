@@ -28,10 +28,9 @@ and drives the fleet to completion:
   work-stealing.  Nothing is lost for the rest of the run just because
   a daemon restarted.
 * **Mid-run join.**  ``run_fabric(_async)`` accepts a
-  :class:`MembershipSource` — a static list, a watched host file
-  (:class:`HostFileMembership`), or a coordinator-side join endpoint
-  (:class:`MembershipEndpoint`, ``POST /join``).  A joining host
-  receives an explicit handoff: the coordinator re-partitions only the
+  :class:`MembershipSource` — a static list or a watched host file
+  (:class:`HostFileMembership`).  A joining host receives an explicit
+  handoff: the coordinator re-partitions only the
   *unstarted* remainder by digest prefix across the live fleet;
   completed and in-flight cells never move, so results stay
   bit-identical to a serial :func:`~repro.sim.sweep.run_sweep`.  A host
@@ -69,9 +68,8 @@ tool (``python -m repro.sim merge-stores``,
 afterwards, with digest-collision conflict detection.
 
 ``python -m repro.sim fabric --hosts ... --grid`` is the CLI;
-``--watch-hosts FILE`` follows a host file, ``--serve-membership ADDR``
-opens the ``POST /join`` endpoint, and ``fabric stats --hosts ...``
-federates the fleet's ``/stats`` counters.  The fault-injection
+``--watch-hosts FILE`` follows a host file, and ``fabric stats --hosts
+...`` federates the fleet's ``/stats`` counters.  The fault-injection
 harness that proves all of this under real SIGSTOP/SIGKILL/blackhole
 churn lives in :mod:`repro.sim.chaos`.
 """
@@ -79,8 +77,6 @@ churn lives in :mod:`repro.sim.chaos`.
 from __future__ import annotations
 
 import asyncio
-import http.client
-import json
 import os
 import sys
 import threading
@@ -92,10 +88,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..errors import SimulationError
 from .client import (DEFAULT_BACKOFF, DEFAULT_MAX_BACKOFF, DEFAULT_RETRIES,
-                     DEFAULT_TIMEOUT, AsyncEvalClient, TransportError,
-                     _check_reply, _split_address)
+                     DEFAULT_TIMEOUT, AsyncEvalClient, TransportError)
 from .engine import EvalTask
-from .server import MAX_BODY_BYTES, MAX_HEADER_LINES
 from .stats import SimStats
 from .store import ResultStore, task_digest
 from .sweep import SweepResult, SweepSpec
@@ -226,12 +220,6 @@ class MembershipSource:
     def hosts(self) -> List[str]:
         raise NotImplementedError
 
-    async def start(self) -> None:
-        """Bind any coordinator-side listeners (idempotent)."""
-
-    async def stop(self) -> None:
-        """Release anything :meth:`start` acquired."""
-
     def describe(self) -> str:
         return type(self).__name__
 
@@ -281,180 +269,6 @@ class HostFileMembership(MembershipSource):
 
     def describe(self) -> str:
         return f"host file {self.path}"
-
-
-class MembershipEndpoint(MembershipSource):
-    """A coordinator-side HTTP endpoint new daemons announce to.
-
-    ``POST /join`` with ``{"host": "http://host:port"}`` admits a host
-    mid-run (the next prober tick hands it a repartitioned share of the
-    unstarted remainder); ``GET /membership`` reports the current
-    addresses and, while a run is active, each host's state.  Wraps an
-    optional ``base`` source (static list or host file), so a fleet can
-    combine a seed list with dynamic joins; hosts announced via the
-    endpoint are never evicted by the base source shrinking.
-    """
-
-    elastic = True
-
-    def __init__(self, base: Optional[MembershipSource] = None,
-                 host: str = "127.0.0.1", port: int = 0) -> None:
-        self.base = base
-        self.host = host
-        self.port = port
-        self._joined: List[str] = []
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: Set by the active run: () -> {address: state} for
-        #: ``GET /membership``.
-        self.state_reporter: Optional[Callable[[], Dict[str, str]]] = None
-        #: Called with the bound address once the listener is up (the
-        #: CLI prints it — with ``port=0`` nothing else knows it).
-        self.on_ready: Optional[Callable[[str], None]] = None
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def hosts(self) -> List[str]:
-        base = self.base.hosts() if self.base is not None else []
-        return list(dict.fromkeys([*base, *self._joined]))
-
-    def describe(self) -> str:
-        inner = f" + {self.base.describe()}" if self.base is not None else ""
-        return f"join endpoint {self.address}{inner}"
-
-    async def start(self) -> None:
-        if self.base is not None:
-            await self.base.start()
-        if self._server is None:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port, limit=MAX_BODY_BYTES)
-            self.port = self._server.sockets[0].getsockname()[1]
-            if self.on_ready is not None:
-                self.on_ready(self.address)
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self.base is not None:
-            await self.base.stop()
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        """One minimal HTTP/1.1 exchange (``Connection: close``)."""
-        try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                status, payload = 400, {"ok": False,
-                                        "error": "malformed request line"}
-            else:
-                method, target = parts[0], parts[1].split("?", 1)[0]
-                headers: Dict[str, str] = {}
-                header_lines = 0
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    header_lines += 1
-                    if header_lines > MAX_HEADER_LINES:
-                        return
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    length = -1
-                if length < 0 or length > MAX_BODY_BYTES:
-                    status, payload = 413, {"ok": False,
-                                            "error": "bad Content-Length"}
-                else:
-                    body = await reader.readexactly(length) if length else b""
-                    status, payload = self._route(method, target, body)
-            data = json.dumps(payload).encode("utf-8")
-            reason = "OK" if status == 200 else "Error"
-            head = (f"HTTP/1.1 {status} {reason}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: close\r\n\r\n").encode("latin-1")
-            writer.write(head + data)
-            await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, ValueError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    def _route(self, method: str, path: str, body: bytes):
-        if path == "/membership" and method == "GET":
-            states = self.state_reporter() if self.state_reporter else {}
-            return 200, {"ok": True, "hosts": self.hosts(), "states": states}
-        if path == "/join" and method == "POST":
-            try:
-                payload = json.loads(body or b"{}")
-            except json.JSONDecodeError as error:
-                return 400, {"ok": False,
-                             "error": f"malformed JSON body: {error}"}
-            address = payload.get("host") \
-                if isinstance(payload, dict) else None
-            if not isinstance(address, str) or not address.strip():
-                return 400, {"ok": False,
-                             "error": "body must be "
-                                      '{"host": "http://host:port"}'}
-            address = address.strip()
-            joined = address not in self.hosts()
-            if joined:
-                self._joined.append(address)
-            return 200, {"ok": True, "host": address, "joined": joined}
-        return 404, {"ok": False,
-                     "error": f"unknown route {method} {path}; routes: "
-                              f"POST /join, GET /membership"}
-
-
-def announce_join(coordinator: str, host: str,
-                  timeout: float = 10.0) -> bool:
-    """Announce ``host`` to a coordinator's :class:`MembershipEndpoint`.
-
-    The call a freshly provisioned daemon (or its supervisor) makes to
-    enter a run in flight.  Returns ``True`` if the host was newly
-    admitted, ``False`` if it was already a member; raises
-    :class:`TransportError` if the coordinator is unreachable.
-    """
-    transport, target = _split_address(coordinator)
-    if transport != "http":
-        raise SimulationError(
-            f"membership endpoint {coordinator!r} must be http://host:port")
-    endpoint_host, endpoint_port = target
-    connection = http.client.HTTPConnection(endpoint_host, endpoint_port,
-                                            timeout=timeout)
-    try:
-        body = json.dumps({"host": host}).encode()
-        try:
-            connection.request("POST", "/join", body=body,
-                               headers={"Content-Type": "application/json"})
-            response = connection.getresponse()
-            raw = response.read()
-        except (OSError, http.client.HTTPException) as error:
-            raise TransportError(
-                f"membership endpoint {coordinator} unreachable: "
-                f"{error}") from error
-        try:
-            reply = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise SimulationError(
-                f"malformed membership endpoint response: {error}") \
-                from error
-        return bool(_check_reply(reply, response.status).get("joined"))
-    finally:
-        connection.close()
 
 
 # -- results ------------------------------------------------------------------
@@ -626,11 +440,6 @@ class _FabricRun:
             _count_membership(counted)
         self._note_transition(host, old, new, reason)
         self.wakeup.set()
-
-    def state_snapshot(self) -> Dict[str, str]:
-        """``{address: state}`` — the ``GET /membership`` payload."""
-        return {address: host.state
-                for address, host in self.hosts.items()}
 
     def admit(self, address: str, reason: str) -> None:
         """A new host from the membership source: explicit handoff —
@@ -993,9 +802,6 @@ class _FabricRun:
 
     async def run(self, window: int) -> None:
         self._window = max(1, window)
-        await self.membership.start()
-        if isinstance(self.membership, MembershipEndpoint):
-            self.membership.state_reporter = self.state_snapshot
         if self.remaining <= 0:
             self.done.set()
         if self.store is not None:
@@ -1023,9 +829,6 @@ class _FabricRun:
             finally:
                 if self._writer is not None:
                     self._writer.shutdown(wait=True)
-            if isinstance(self.membership, MembershipEndpoint):
-                self.membership.state_reporter = None
-            await self.membership.stop()
         if self.failure is not None:
             raise self.failure
         if self.remaining > 0:
@@ -1058,11 +861,10 @@ async def run_fabric_async(
 ) -> FabricResult:
     """Execute a sweep across an elastic fleet of evaluation daemons.
 
-    The fleet comes from ``hosts`` (client addresses —
-    ``http://host:port`` or ``unix:///path`` — frozen for the run) or a
-    ``membership`` source (pass exactly one); elastic sources
-    (:class:`HostFileMembership`, :class:`MembershipEndpoint`) admit
-    and evict hosts mid-run.  Cells already in the local ``store`` are
+    The fleet comes from ``hosts`` (``http://host:port`` client
+    addresses, frozen for the run) or a ``membership`` source (pass
+    exactly one); an elastic source (:class:`HostFileMembership`) admits
+    and evicts hosts mid-run.  Cells already in the local ``store`` are
     served from disk when ``resume`` is true; the rest are partitioned
     by digest prefix and dispatched with ``window`` in-flight requests
     per host, work stealing, health-checked membership
@@ -1204,18 +1006,6 @@ def _parse_hosts(values: Optional[List[str]]) -> List[str]:
     return list(dict.fromkeys(hosts))
 
 
-def _parse_bind(value: str) -> "tuple[str, int]":
-    """``HOST:PORT``, ``:PORT`` or ``PORT`` → ``(host, port)``."""
-    host, _, port = value.rpartition(":")
-    host = host or "127.0.0.1"
-    try:
-        return host, int(port)
-    except ValueError:
-        raise SimulationError(
-            f"bad bind address {value!r}; use HOST:PORT, :PORT or PORT"
-        ) from None
-
-
 def _stats_main(argv: List[str]) -> int:
     import argparse
 
@@ -1281,11 +1071,6 @@ def fabric_main(argv: Optional[List[str]] = None) -> int:
                         help="watched host file (one address per line, "
                              "# comments): rewrite it mid-run to add or "
                              "remove fleet members")
-    parser.add_argument("--serve-membership", default=None,
-                        metavar="ADDR",
-                        help="open a coordinator join endpoint on "
-                             "HOST:PORT (POST /join admits a daemon "
-                             "mid-run, GET /membership reports states)")
     parser.add_argument("--arch", default="ALL",
                         choices=known_architectures() + ("ALL",))
     parser.add_argument("--workloads", default=None,
@@ -1384,18 +1169,6 @@ def fabric_main(argv: Optional[List[str]] = None) -> int:
         membership: Optional[MembershipSource] = None
         if args.watch_hosts:
             membership = HostFileMembership(args.watch_hosts)
-        if args.serve_membership is not None:
-            bind_host, bind_port = _parse_bind(args.serve_membership)
-            base = membership if membership is not None \
-                else StaticMembership(hosts)
-            membership = MembershipEndpoint(base=base, host=bind_host,
-                                            port=bind_port)
-
-            def announce_endpoint(address: str) -> None:
-                print(f"membership   : join endpoint {address}",
-                      file=table, flush=True)
-
-            membership.on_ready = announce_endpoint
     except SimulationError as error:
         parser.error(str(error))
     except OSError as error:

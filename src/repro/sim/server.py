@@ -5,10 +5,9 @@ content-addressed :class:`~repro.sim.store.ResultStore`); this module is
 the online layer over them — an asyncio daemon that answers evaluation
 *queries* instead of running fixed sweeps:
 
-* **Two front-ends, one core.**  A minimal HTTP/1.1 endpoint
+* **One HTTP front-end, one core.**  A minimal HTTP/1.1 endpoint
   (``POST /eval``, ``GET /stats``, ``GET /healthz``, ``POST /shutdown``)
-  and a newline-delimited-JSON line protocol over a unix socket or TCP
-  port both funnel into :meth:`EvalServer.handle_query`.
+  funnels every query into :meth:`EvalServer.handle_query`.
 * **Read-through.**  Every query resolves to :class:`EvalTask` digests;
   cells already in the :class:`ResultStore` are served from disk, and a
   small in-process LRU over *deserialized* :class:`SimStats` short-cuts
@@ -39,7 +38,7 @@ the online layer over them — an asyncio daemon that answers evaluation
   frame (:func:`encode_frame`), a JSON header line followed by the
   per-request samples as packed float64, so 20,000 samples per cell
   are not printed as text and parsed back.  The bundled clients always
-  ask for it; curl and the line protocol get JSON.
+  ask for it; curl gets JSON.
 
 Served stats are bit-identical to a direct :func:`evaluate_cell` call
 in both encodings: the reply is ``SimStats.to_dict``, Python floats
@@ -80,7 +79,9 @@ MAX_CELLS_PER_QUERY = 4096
 #: (the full-size grid runs 20k).
 MAX_REQUESTS_PER_CELL = 1_000_000
 
-#: Hard cap on an HTTP request body / line-protocol line.
+#: Hard cap on an HTTP request body, and on any one line either side
+#: reads: the server's request and header lines, the clients' response
+#: lines.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Hard cap on HTTP header lines per message, shared with the clients'
@@ -99,7 +100,7 @@ _HTTP_REASONS = {
 
 #: Counter names reported by ``/stats`` (all start at zero).
 COUNTER_NAMES = (
-    "queries",        # queries accepted (any protocol)
+    "queries",        # eval queries accepted
     "cells",          # cells resolved successfully across all queries
     "store_hits",     # cells served from the ResultStore
     "lru_hits",       # cells served from the in-process LRU
@@ -207,7 +208,7 @@ def _parse_query(payload: Any) -> Tuple[List[EvalTask], bool]:
     if not isinstance(payload, dict):
         raise SimulationError(
             f"query must be a JSON object, got {type(payload).__name__}")
-    allowed = {"task", "tasks", "sweep", "latencies", "op"}
+    allowed = {"task", "tasks", "sweep", "latencies"}
     unknown = sorted(set(payload) - allowed)
     if unknown:
         raise SimulationError(
@@ -253,8 +254,8 @@ def _parse_query(payload: Any) -> Tuple[List[EvalTask], bool]:
 class EvalServer:
     """The asyncio evaluation daemon (see the module docstring).
 
-    Construct, ``await start()``, query over HTTP / the line protocol /
-    directly via :meth:`handle_query`, ``await stop()``.  ``port=0``
+    Construct, ``await start()``, query over HTTP or directly via
+    :meth:`handle_query`, ``await stop()``.  ``port=0``
     binds an ephemeral port (read it back from :attr:`http_address`);
     ``workers`` follows the engine convention (``0`` = one per CPU,
     ``<= 1`` = a single compute thread, the configuration the
@@ -268,8 +269,6 @@ class EvalServer:
         lru_size: int = DEFAULT_LRU_SIZE,
         host: str = "127.0.0.1",
         port: int = 0,
-        line_port: Optional[int] = None,
-        unix_path: Optional[Union[str, Path]] = None,
     ) -> None:
         if store is not None and not isinstance(store, ResultStore):
             store = ResultStore(store)
@@ -277,8 +276,6 @@ class EvalServer:
         self.workers = _resolve_workers(workers)
         self.host = host
         self.port = port
-        self.line_port = line_port
-        self.unix_path = str(unix_path) if unix_path is not None else None
         self._lru_size = max(0, int(lru_size))
         self._lru: "OrderedDict[str, SimStats]" = OrderedDict()
         self._inflight: Dict[str, "asyncio.Task"] = {}
@@ -299,43 +296,29 @@ class EvalServer:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the front-ends and spin up the executors."""
+        """Bind the HTTP front-end and spin up the executors."""
         self._started_monotonic = time.monotonic()
         self._compute = self._compute_pool()
         self._io = ThreadPoolExecutor(max_workers=2,
                                       thread_name_prefix="eval-store-io")
         http_server = await asyncio.start_server(
-            self._accept(self._handle_http), self.host, self.port,
-            limit=MAX_BODY_BYTES)
+            self._accept, self.host, self.port, limit=MAX_BODY_BYTES)
         self.port = http_server.sockets[0].getsockname()[1]
         self._servers.append(http_server)
-        if self.line_port is not None:
-            line_server = await asyncio.start_server(
-                self._accept(self._handle_line), self.host, self.line_port,
-                limit=MAX_BODY_BYTES)
-            self.line_port = line_server.sockets[0].getsockname()[1]
-            self._servers.append(line_server)
-        if self.unix_path is not None:
-            self._servers.append(await asyncio.start_unix_server(
-                self._accept(self._handle_line), self.unix_path,
-                limit=MAX_BODY_BYTES))
 
-    def _accept(self, handler: Callable[..., Any]) \
-            -> Callable[[asyncio.StreamReader, asyncio.StreamWriter], None]:
-        """The stream-server callback for ``handler``: each connection
-        runs as a task this server owns, so :meth:`stop` can cancel it.
-        Given a coroutine function instead, the stream server would own
-        the task, and on Python 3.11 it logs a cancelled one at ERROR.
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """The stream server's callback: each connection runs as a task
+        this server owns, so :meth:`stop` can cancel it.  Given a
+        coroutine function instead, the stream server would own the
+        task, and on Python 3.11 it logs a cancelled one at ERROR.
         """
-        def accept(reader: asyncio.StreamReader,
-                   writer: asyncio.StreamWriter) -> None:
-            task = asyncio.ensure_future(handler(reader, writer))
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        return accept
+        task = asyncio.ensure_future(self._handle_http(reader, writer))
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
 
     async def stop(self) -> None:
-        """Close the front-ends, end their open connections, then shut
+        """Close the front-end, end its open connections, then shut
         the executors down.
 
         ``wait_closed()`` does not wait for open connections on every
@@ -352,11 +335,6 @@ class EvalServer:
         for handler in handlers:
             handler.cancel()
         await asyncio.gather(*handlers, return_exceptions=True)
-        if self.unix_path is not None:
-            try:
-                Path(self.unix_path).unlink()
-            except OSError:
-                pass
         for executor in (self._compute, self._io):
             if executor is not None:
                 await asyncio.to_thread(executor.shutdown, wait=True,
@@ -541,8 +519,7 @@ class EvalServer:
     async def handle_query(self, payload: Any) -> Tuple[int, Dict[str, Any]]:
         """Answer one eval query → ``(http_status, response_payload)``.
 
-        The protocol-independent core both front-ends call; tests may
-        call it directly.  Responses are all-or-nothing: any failing
+        The core ``POST /eval`` calls; tests may call it directly.  Responses are all-or-nothing: any failing
         cell fails the query with a structured error.  Each result's
         ``stats.latencies_ns`` stays the float64 sample array: the
         front-end encodes it as a JSON list (:func:`encode_json`) or a
@@ -658,7 +635,9 @@ class EvalServer:
                 return self._method_not_allowed("POST")
             try:
                 payload = json.loads(body)
-            except json.JSONDecodeError as error:
+            except (ValueError, RecursionError) as error:
+                # ValueError covers a body that is not UTF-8 as well as
+                # bad JSON; RecursionError, nesting too deep to parse.
                 self._counters["errors"] += 1
                 return 400, {"ok": False,
                              "error": f"malformed JSON body: {error}"}
@@ -689,69 +668,6 @@ class EvalServer:
         writer.write(head + body)
         await writer.drain()
 
-    # -- line-protocol front-end -------------------------------------------
-
-    async def _handle_line(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        """Newline-delimited JSON: one query per line, one reply per line.
-
-        ``{"op": "eval", ...}`` (the default op), ``{"op": "stats"}``,
-        ``{"op": "ping"}``, ``{"op": "shutdown"}``.  The connection is
-        persistent: a client can stream queries back-to-back.
-        """
-        shutting_down = False
-        try:
-            while not shutting_down:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._counters["errors"] += 1
-                    response = {"ok": False,
-                                "error": f"line exceeds {MAX_BODY_BYTES} "
-                                         f"bytes"}
-                    writer.write(json.dumps(response).encode() + b"\n")
-                    await writer.drain()
-                    break    # framing lost: drop the connection
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response, shutting_down = await self._line_response(line)
-                writer.write(encode_json(response) + b"\n")
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            if shutting_down:
-                self.request_shutdown()
-
-    async def _line_response(self, line: bytes) \
-            -> Tuple[Dict[str, Any], bool]:
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as error:
-            self._counters["errors"] += 1
-            return {"ok": False, "error": f"malformed JSON line: {error}"}, \
-                False
-        op = payload.get("op", "eval") if isinstance(payload, dict) else "eval"
-        if op == "ping":
-            return {**self.health_snapshot(), "pong": True}, False
-        if op == "stats":
-            return {"ok": True, "stats": self.stats_snapshot()}, False
-        if op == "shutdown":
-            return {"ok": True, "shutting_down": True}, True
-        if op == "eval":
-            _status, response = await self.handle_query(payload)
-            return response, False
-        self._counters["errors"] += 1
-        return {"ok": False, "error": f"unknown op {op!r}; "
-                f"ops: eval stats ping shutdown"}, False
-
 
 async def _serve(server: EvalServer, quiet: bool = False) -> None:
     """CLI body: start, announce, install signal handlers, serve."""
@@ -760,11 +676,6 @@ async def _serve(server: EvalServer, quiet: bool = False) -> None:
     await server.start()
     if not quiet:
         print(f"ready: {server.http_address}", flush=True)
-        if server.line_port is not None:
-            print(f"line protocol: {server.host}:{server.line_port}",
-                  flush=True)
-        if server.unix_path is not None:
-            print(f"line protocol: unix://{server.unix_path}", flush=True)
         if server.store is not None:
             print(f"store: {server.store.root}", flush=True)
         print(f"workers: {server.workers} (thread)", flush=True)
@@ -786,19 +697,13 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro.sim serve",
-        description="Async evaluation daemon: JSON queries over HTTP and "
-                    "an optional unix/TCP line protocol, with result-store "
-                    "read-through, request coalescing and an LRU.",
+        description="Async evaluation daemon: JSON queries over HTTP, "
+                    "with result-store read-through, request coalescing "
+                    "and an LRU.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787,
                         help="HTTP port (0 = ephemeral, printed on start)")
-    parser.add_argument("--line-port", type=int, default=None, metavar="PORT",
-                        help="also serve the JSON line protocol on this TCP "
-                             "port (0 = ephemeral)")
-    parser.add_argument("--unix", default=None, metavar="PATH",
-                        help="also serve the JSON line protocol on this "
-                             "unix socket")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="result store directory for read-through and "
                              "write-back")
@@ -813,8 +718,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     try:
         server = EvalServer(store=args.store, workers=args.workers,
                             lru_size=args.lru, host=args.host,
-                            port=args.port, line_port=args.line_port,
-                            unix_path=args.unix)
+                            port=args.port)
     except (SimulationError, OSError) as error:
         parser.error(str(error))
     try:

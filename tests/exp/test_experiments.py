@@ -66,12 +66,12 @@ class TestRegistry:
 
 
 class TestServerTransportErrors:
-    """An unreachable/refused $REPRO_EVAL_SERVER must be the clean
-    SystemExit(2) message on every transport, not a raw traceback."""
+    """An unreachable $REPRO_EVAL_SERVER, or one the client refuses,
+    must be the clean SystemExit(2) message, not a raw traceback."""
 
     @pytest.mark.parametrize("address", [
         "http://127.0.0.1:1",              # refused TCP connect
-        "unix:///nonexistent/eval.sock",   # dead unix socket
+        "unix:///nonexistent/eval.sock",   # unsupported scheme, refused
     ])
     @pytest.mark.parametrize("figure", ["fig9", "fig10"])
     def test_unreachable_server_is_clean_exit(self, figure, address,

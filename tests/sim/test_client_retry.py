@@ -1,20 +1,25 @@
-"""Client transport hardening: retry/backoff policy and the async
+"""Client transport hardening: retry/backoff policy and the
 response-parser failure modes a fleet exposes.
 
 The retry tests drive the real clients against a *scriptable* fake
 endpoint (each accepted connection consumes the next behavior: drop the
 connection, or send canned bytes), so attempt counts are observable and
 deterministic.  The parser tests send responses no well-behaved daemon
-would produce — malformed ``Content-Length``, unbounded header streams,
-a line-protocol reply bigger than the stream limit, eval replies of the
-wrong shape, truncated or padded ``/eval`` frames — and pin that every
-one surfaces as a structured :class:`SimulationError`, never a raw
-``ValueError``/``LimitOverrunError``/``AttributeError``.
+would produce — a garbage status line, malformed ``Content-Length``,
+unbounded header streams, a response line bigger than the stream limit,
+eval replies of the wrong shape, truncated or padded ``/eval`` frames —
+and pin that every one surfaces as a structured
+:class:`SimulationError`, never a raw
+``ValueError``/``LimitOverrunError``/``AttributeError``.  Both clients
+parse with one reader (``client._response_steps``), so each parser case
+runs against both shells and must give the same error after the same
+number of connections.
 """
 
 import asyncio
 import json
 import math
+import re
 import socket
 import threading
 import time
@@ -135,6 +140,8 @@ def run_async_endpoint(script, scenario):
                         break
                 writer.write(behavior)
                 await writer.drain()
+        except ConnectionError:
+            pass        # the client hung up mid-send, as FakeEndpoint allows
         finally:
             writer.close()
 
@@ -260,88 +267,90 @@ class TestRetryPolicy:
         assert client.max_backoff == 0.02
 
 
-class TestAsyncResponseParser:
-    def _request(self, response_bytes):
-        async def scenario(client):
+def stats_via(shell, response):
+    """``stats()`` on the ``shell`` client against one canned response
+    → ``(outcome, connections)``: the outcome is the reply or the
+    :class:`SimulationError` raised, and a retried failure shows as a
+    connection count above one."""
+    if shell == "sync":
+        fake = FakeEndpoint([response])
+        fake.start()
+        try:
+            client = EvalClient(fake.address, timeout=5.0, retries=2,
+                                backoff=0.001)
+            try:
+                outcome = client.stats()
+            except SimulationError as error:
+                outcome = error
+        finally:
+            fake.close()
+        return outcome, fake.connections
+
+    async def scenario(client):
+        try:
             return await client.stats()
+        except SimulationError as error:
+            return error
+    return run_async_endpoint([response], scenario)
 
-        def run():
-            return run_async_endpoint([response_bytes], scenario)
-        return run
 
-    def test_malformed_content_length_is_structured(self):
+@pytest.mark.parametrize("shell", ["sync", "async"])
+class TestResponseParser:
+    """Both shells drive one reader, so a complete but malformed
+    response is the same structured error in each, after one
+    connection: it is not retried."""
+
+    def assert_structured(self, shell, response, match):
+        outcome, connections = stats_via(shell, response)
+        assert isinstance(outcome, SimulationError), outcome
+        assert not isinstance(outcome, TransportError), outcome
+        assert re.search(match, str(outcome)), outcome
+        assert connections == 1
+
+    def test_garbage_status_line_is_structured(self, shell):
+        self.assert_structured(
+            shell, b"HTTTP 2xx\r\nContent-Length: 2\r\n\r\n{}",
+            "malformed HTTP status line")
+
+    def test_malformed_content_length_is_structured(self, shell):
         response = (b"HTTP/1.1 200 X\r\n"
                     b"Content-Length: not-a-number\r\n"
                     b"Connection: close\r\n\r\n{}")
-        with pytest.raises(SimulationError,
-                           match="malformed Content-Length") as excinfo:
-            self._request(response)()
-        assert not isinstance(excinfo.value, ValueError)
+        self.assert_structured(shell, response, "malformed Content-Length")
 
-    def test_negative_content_length_is_structured(self):
+    def test_negative_content_length_is_structured(self, shell):
         response = (b"HTTP/1.1 200 X\r\n"
                     b"Content-Length: -7\r\n"
                     b"Connection: close\r\n\r\n{}")
-        with pytest.raises(SimulationError,
-                           match="malformed Content-Length"):
-            self._request(response)()
+        self.assert_structured(shell, response, "malformed Content-Length")
 
-    def test_header_line_count_is_bounded(self):
+    def test_header_line_count_is_bounded(self, shell):
         junk = b"".join(b"X-Pad-%d: y\r\n" % i
                         for i in range(MAX_HEADER_LINES + 8))
         response = (b"HTTP/1.1 200 X\r\n" + junk
                     + b"Content-Length: 2\r\n\r\n{}")
-        with pytest.raises(SimulationError, match="header lines"):
-            self._request(response)()
+        self.assert_structured(
+            shell, response, f"more than {MAX_HEADER_LINES} header lines")
 
-    def test_oversized_line_protocol_response_is_structured(self, tmp_path):
-        # A reply line bigger than the stream limit must surface as a
-        # structured error, not asyncio's raw readline() ValueError.
-        path = tmp_path / "eval.sock"
+    def test_oversized_header_line_is_structured(self, shell):
+        # A line bigger than the stream limit must surface as a
+        # structured error, not asyncio's raw readline() ValueError or
+        # an unbounded read in the sync shell.
+        response = (b"HTTP/1.1 200 X\r\nX-Pad: "
+                    + b"y" * (MAX_BODY_BYTES + 4096)
+                    + b"\r\nContent-Length: 2\r\n\r\n{}")
+        self.assert_structured(shell, response, "stream limit")
 
-        async def handle(reader, writer):
-            await reader.readline()
-            writer.write(b"x" * (MAX_BODY_BYTES + 4096))
-            await writer.drain()
-            writer.close()
-
-        async def scenario():
-            server = await asyncio.start_unix_server(handle, path=str(path))
-            try:
-                client = AsyncEvalClient(f"unix://{path}", timeout=30.0,
-                                         retries=0)
-                with pytest.raises(SimulationError, match="stream limit"):
-                    await client.stats()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        asyncio.run(scenario())
-
-    def test_within_limit_line_protocol_response_parses(self, tmp_path):
-        # The reason limit= must be MAX_BODY_BYTES: a legitimate
-        # latency-bearing reply is far bigger than asyncio's 64 KiB
-        # default, which used to blow up readline().
-        path = tmp_path / "eval.sock"
+    def test_within_limit_response_parses(self, shell):
+        # The reason the async shell opens connections with
+        # limit=MAX_BODY_BYTES: a header line and a body far bigger
+        # than asyncio's 64 KiB default both parse, in both shells.
         payload = {"ok": True, "stats": {"pad": "y" * (256 * 1024)}}
-
-        async def handle(reader, writer):
-            await reader.readline()
-            writer.write(json.dumps(payload).encode() + b"\n")
-            await writer.drain()
-            writer.close()
-
-        async def scenario():
-            server = await asyncio.start_unix_server(handle, path=str(path))
-            try:
-                client = AsyncEvalClient(f"unix://{path}", timeout=30.0,
-                                         retries=0)
-                return await client.stats()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        assert asyncio.run(scenario()) == payload["stats"]
+        body = json.dumps(payload).encode()
+        response = (b"HTTP/1.1 200 X\r\nX-Pad: " + b"y" * (256 * 1024)
+                    + b"\r\nContent-Length: %d\r\n\r\n" % len(body)
+                    + body)
+        assert stats_via(shell, response) == (payload["stats"], 1)
 
 
 def _stats_row(stats):

@@ -10,18 +10,13 @@ the membership does, the results stay bit-identical to a serial
 """
 
 import asyncio
-import json
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import engine
-from repro.sim.client import TransportError
-from repro.sim.fabric import (HostFileMembership, MembershipEndpoint,
-                              StaticMembership, announce_join,
+from repro.sim.fabric import (HostFileMembership, StaticMembership,
                               membership_counters, partition_tasks,
                               reset_membership_counters, run_fabric_async)
 from repro.sim.server import EvalServer
@@ -283,93 +278,6 @@ class TestMembershipSources:
             asyncio.run(run_fabric_async(
                 SPEC, ["http://a:1"],
                 membership=StaticMembership(["http://a:1"])))
-
-    def test_join_endpoint_admits_and_reports(self):
-        async def scenario():
-            endpoint = MembershipEndpoint(
-                base=StaticMembership(["http://a:1"]))
-            await endpoint.start()
-            try:
-                first = await asyncio.to_thread(
-                    announce_join, endpoint.address, "http://b:2")
-                again = await asyncio.to_thread(
-                    announce_join, endpoint.address, "http://b:2")
-
-                def read_membership():
-                    with urllib.request.urlopen(
-                            endpoint.address + "/membership",
-                            timeout=10) as response:
-                        return json.load(response)
-                report = await asyncio.to_thread(read_membership)
-            finally:
-                await endpoint.stop()
-            return first, again, endpoint.hosts(), report
-
-        first, again, hosts, report = asyncio.run(scenario())
-        assert first is True and again is False
-        assert hosts == ["http://a:1", "http://b:2"]
-        assert report["ok"] and report["hosts"] == hosts
-        # No run is attached: states are empty, not an error.
-        assert report["states"] == {}
-
-    def test_join_endpoint_rejects_malformed_bodies(self):
-        async def scenario():
-            endpoint = MembershipEndpoint()
-            await endpoint.start()
-            try:
-                for body in (b"not json", b'{"host": 7}', b"{}"):
-                    request = urllib.request.Request(
-                        endpoint.address + "/join", data=body,
-                        method="POST")
-                    with pytest.raises(urllib.error.HTTPError) as failure:
-                        await asyncio.to_thread(
-                            urllib.request.urlopen, request, None, 10)
-                    failure.value.close()    # the response's socket
-                    assert failure.value.code == 400
-            finally:
-                await endpoint.stop()
-        asyncio.run(scenario())
-
-    def test_announce_join_unreachable_raises_transport_error(self):
-        with pytest.raises(TransportError):
-            announce_join("http://127.0.0.1:9", "http://a:1", timeout=0.5)
-
-    def test_endpoint_joins_flow_into_fabric_runs(self, tmp_path,
-                                                  monkeypatch):
-        """The coordinator-endpoint arc end to end: a daemon announces
-        itself via POST /join mid-run and ends up doing real work."""
-        real = pace(monkeypatch, 0.15)
-        local = ResultStore(tmp_path / "local")
-
-        async def scenario():
-            first = EvalServer(port=0)
-            second = EvalServer(port=0)
-            await first.start()
-            await second.start()
-            endpoint = MembershipEndpoint(
-                base=StaticMembership([address_of(first)]))
-            seen = []
-
-            def on_result(task, stats):
-                seen.append(task)
-                if len(seen) == 1:
-                    asyncio.ensure_future(asyncio.to_thread(
-                        announce_join, endpoint.address,
-                        address_of(second)))
-            try:
-                result = await run_fabric_async(
-                    SPEC, membership=endpoint, store=local,
-                    on_result=on_result, **CHURN)
-            finally:
-                await first.stop()
-                await second.stop()
-            return result, address_of(second)
-
-        result, joiner = asyncio.run(scenario())
-        monkeypatch.setattr(engine, "evaluate_cell", real)
-        assert result.results == run_sweep(SPEC).results
-        assert joiner in result.joined
-        assert result.per_host[joiner] >= 1
 
 
 class TestCounters:

@@ -3,8 +3,8 @@ load-test replay, structured error paths.
 
 The daemon is spun up in-process (ephemeral port, ``workers=1`` — a
 single worker thread, so compute scheduling is fully deterministic) and
-driven through the real front-ends: raw HTTP bytes, the sync/async
-clients, and the unix line protocol.
+driven through its real HTTP front-end: raw bytes and the sync/async
+clients.
 """
 
 import asyncio
@@ -181,22 +181,24 @@ class TestServedResults:
         assert lean.latencies_ns.tolist() == []
         assert lean.bandwidth_gbps == evaluate_cell(TASK).bandwidth_gbps
 
-    def test_sync_client_over_unix_line_protocol(self, tmp_path):
-        sock = tmp_path / "eval.sock"
-
+    def test_sync_client_over_http(self):
         async def scenario(server):
             loop = asyncio.get_running_loop()
 
             def sync_part():
-                client = EvalClient(f"unix://{sock}")
+                client = EvalClient(server.http_address)
                 assert client.ping()
                 stats = client.eval_cell(TASK)
                 counters = client.stats()
                 return stats, counters
             return await loop.run_in_executor(None, sync_part)
-        stats, counters = run_scenario(scenario, unix_path=sock)
+        stats, counters = run_scenario(scenario)
         assert stats == evaluate_cell(TASK)
         assert counters["computed"] == 1
+        # Decoded from a frame: the samples are a read-only, aligned
+        # view into the reply body.
+        assert not stats.latencies_ns.flags.writeable
+        assert stats.latencies_ns.flags.aligned
 
     def test_async_ping_matches_sync_health_surface(self):
         # The membership prober runs on AsyncEvalClient.ping; it must
@@ -410,10 +412,19 @@ class TestErrorPaths:
             return await raw_http(server.port, "POST", "/eval", body)
         return run_scenario(scenario, **server_kwargs)
 
-    def test_malformed_json_is_400(self):
-        status, body = self._status_of(b"{not json at all")
+    @pytest.mark.parametrize("body", [
+        b"{not json at all",
+        b'{"task": "\xff\xfe"}',      # not UTF-8
+        b"[" * 200_000,                # nested too deep to parse
+    ], ids=["not-json", "not-utf8", "too-deep"])
+    def test_malformed_json_is_400(self, body):
+        async def scenario(server):
+            reply = await raw_http(server.port, "POST", "/eval", body)
+            return reply, server.stats_snapshot()["errors"]
+        (status, reply), errors = run_scenario(scenario)
         assert status == 400
-        assert body["ok"] is False and "malformed JSON" in body["error"]
+        assert reply["ok"] is False and "malformed JSON" in reply["error"]
+        assert errors == 1
 
     def test_unknown_architecture_is_400(self):
         status, body = self._status_of(
@@ -649,20 +660,6 @@ class TestReplyNegotiation:
                 direct.latencies_ns.tobytes() if latencies else b"")
         assert len(replies["lean"][2]) == replies["lean"][2].index(b"\n") + 1
 
-    def test_line_protocol_reply_is_unchanged(self, tmp_path):
-        sock = tmp_path / "eval.sock"
-
-        async def scenario(server):
-            reader, writer = await asyncio.open_unix_connection(str(sock))
-            writer.write(eval_body(TASK) + b"\n")
-            await writer.drain()
-            line = await reader.readline()
-            writer.close()
-            await writer.wait_closed()
-            return line
-        line = run_scenario(scenario, unix_path=sock)
-        assert line == json.dumps(expected_reply(TASK)).encode() + b"\n"
-
     def test_both_clients_decode_a_json_only_endpoint(self):
         """A daemon that predates frames ignores ``Accept`` and answers
         JSON: both clients still decode it bit-identically."""
@@ -680,66 +677,6 @@ class TestReplyNegotiation:
         served, connections = run_async_endpoint([canned], scenario)
         assert served == direct
         assert connections == 1
-
-
-class TestLineProtocol:
-    def test_ops_over_unix_socket(self, tmp_path):
-        sock = tmp_path / "eval.sock"
-
-        async def scenario(server):
-            reader, writer = await asyncio.open_unix_connection(str(sock))
-
-            async def roundtrip(message):
-                writer.write(message if isinstance(message, bytes)
-                             else json.dumps(message).encode())
-                writer.write(b"\n")
-                await writer.drain()
-                return json.loads(await reader.readline())
-
-            ping = await roundtrip({"op": "ping"})
-            evaluated = await roundtrip({"op": "eval",
-                                         "task": task_to_dict(TASK)})
-            implicit = await roundtrip({"task": task_to_dict(TASK)})
-            malformed = await roundtrip(b"{nope")
-            unknown = await roundtrip({"op": "teleport"})
-            stats = await roundtrip({"op": "stats"})
-            writer.close()
-            await writer.wait_closed()
-            return ping, evaluated, implicit, malformed, unknown, stats
-
-        ping, evaluated, implicit, malformed, unknown, stats = \
-            run_scenario(scenario, unix_path=tmp_path / "eval.sock")
-        # The line ping carries the same enriched health payload as
-        # GET /healthz, plus the protocol's pong marker.
-        assert ping["ok"] is True and ping["pong"] is True
-        assert ping["uptime_s"] >= 0 and ping["inflight"] == 0
-        assert evaluated["ok"] and implicit["ok"]
-        assert evaluated["results"][0]["source"] == "computed"
-        assert implicit["results"][0]["source"] == "lru"
-        assert malformed["ok"] is False
-        assert unknown["ok"] is False and "teleport" in unknown["error"]
-        assert stats["stats"]["computed"] == 1
-
-    def test_shutdown_op_stops_the_serve_loop(self, tmp_path):
-        sock = tmp_path / "eval.sock"
-
-        async def scenario():
-            server = EvalServer(port=0, unix_path=sock)
-            serve = asyncio.ensure_future(server.serve_until_shutdown())
-            await asyncio.sleep(0)          # let it bind
-            for _ in range(50):
-                if server._servers:
-                    break
-                await asyncio.sleep(0.05)
-            reader, writer = await asyncio.open_unix_connection(str(sock))
-            writer.write(b'{"op": "shutdown"}\n')
-            await writer.drain()
-            reply = json.loads(await reader.readline())
-            writer.close()
-            await asyncio.wait_for(serve, timeout=10)
-            return reply
-        reply = asyncio.run(scenario())
-        assert reply == {"ok": True, "shutting_down": True}
 
 
 class TestHttpMisc:
@@ -797,8 +734,7 @@ class TestHttpMisc:
 def pending_handlers():
     """The running loop's unfinished connection-handler tasks."""
     return [task for task in asyncio.all_tasks()
-            if task.get_coro().__qualname__ in (
-                "EvalServer._handle_http", "EvalServer._handle_line")]
+            if task.get_coro().__qualname__ == "EvalServer._handle_http"]
 
 
 async def close_quietly(writer):

@@ -5,8 +5,10 @@ doing anything.  scipy is only needed by a few device analyses (heat
 diffusion, read-out error rates), which import it when they run; a
 module-level scipy import would add ~0.4 s to every start-up, so it
 fails here instead.  Likewise the engine loads no networking stack: the
-server, client and fabric modules (and the asyncio, ssl and http.client
-they pull in) load only when imported by their module path.
+server, client and fabric modules (and the asyncio and ssl they pull
+in) load only when imported by their module path.  No serving module
+loads the stdlib HTTP client at all: both bundled clients parse replies
+with one reader of their own.
 """
 
 import os
@@ -46,3 +48,12 @@ def test_engine_import_loads_no_networking():
                 "repro.sim.client", "repro.sim.fabric")
     assert _loaded_after_import(
         "repro.sim.engine", f"name in {unwanted!r}") == "[]"
+
+
+@pytest.mark.parametrize("module", ["repro.sim.client", "repro.sim.fabric",
+                                    "repro.sim.chaos"])
+def test_serving_import_loads_no_stdlib_http_client(module):
+    # ``client._response_steps`` is the one response parser; a second
+    # one arriving through ``http.client`` would show here.
+    assert _loaded_after_import(
+        module, "name == 'http.client'") == "[]"
