@@ -21,12 +21,16 @@ then assert that
   conflicts, and
 * a warm sweep against the merged store recomputes nothing.
 
+Every store lives under one temp directory, which is removed when the
+smoke ends, passed or failed, after its daemons have exited.
+
 Usage::
 
     PYTHONPATH=src python examples/fabric_smoke.py
 """
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -147,6 +151,7 @@ def main() -> int:
     finally:
         for daemon in (*daemons, *([spare] if spare else [])):
             daemon.close()
+        shutil.rmtree(root, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ same query again (served without recomputation — verified via
 ``unix://`` address), fetch the cell in both reply encodings (JSON for
 a plain POST, the binary frame for the ``Accept`` header the bundled
 clients send), then request shutdown through the CLI and assert the
-daemon exits 0.
+daemon exits 0.  The daemon's store lives in a temp directory that is
+removed when the smoke ends, passed or failed.
 
 Usage::
 
@@ -18,6 +19,7 @@ Usage::
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -128,6 +130,7 @@ def main() -> int:
         stderr = daemon.stderr.read()
         if stderr:
             print(stderr, file=sys.stderr)
+        shutil.rmtree(store_dir, ignore_errors=True)
 
 
 if __name__ == "__main__":

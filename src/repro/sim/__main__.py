@@ -285,20 +285,22 @@ def gc_main(argv=None) -> int:
     """``python -m repro.sim gc --store DIR`` — prune a result store.
 
     Removes stale entries (old ``RESULTS_VERSION`` / fingerprint
-    mismatches), orphaned latency sidecars and abandoned staging temp
-    files; ``--compact`` additionally drops shard directories the pass
-    left empty.  Live cells are untouched.
+    mismatches, unreadable entries, the files of the older two-file
+    layout) and abandoned staging temp files; ``--compact``
+    additionally drops shard directories the pass left empty.  Live
+    cells are untouched.  A path that holds no store is an error, not
+    a new empty store.
     """
     from .store import ResultStore
 
     parser = argparse.ArgumentParser(
         prog="repro.sim gc",
         description="Garbage-collect a result store: prune entries no "
-                    "current model addresses, orphaned sidecars and torn "
-                    "temp files.",
+                    "current model addresses, unreadable entries, files "
+                    "of the older two-file layout and torn temp files.",
     )
     parser.add_argument("--store", required=True, metavar="DIR",
-                        help="result-store directory to prune")
+                        help="existing result-store directory to prune")
     parser.add_argument("--compact", action="store_true",
                         help="also remove shard directories left empty")
     parser.add_argument("--dry-run", action="store_true",
@@ -307,7 +309,7 @@ def gc_main(argv=None) -> int:
                         help="list every removed path")
     args = parser.parse_args(argv)
     try:
-        store = ResultStore(args.store)
+        store = ResultStore.existing(args.store)
     except (OSError, SimulationError) as error:
         print(f"error: result store {args.store!r} unusable: {error}",
               file=sys.stderr)
@@ -321,7 +323,6 @@ def gc_main(argv=None) -> int:
     print(f"{args.store}: {report.describe()}")
     if args.verbose:
         for label, paths in (("stale", report.removed_stale),
-                             ("sidecar", report.removed_sidecars),
                              ("temp", report.removed_temp_files),
                              ("dir", report.removed_dirs)):
             for path in paths:
@@ -333,9 +334,10 @@ def merge_main(argv=None) -> int:
     """``python -m repro.sim merge-stores --into DIR SRC [SRC...]`` —
     fold remote daemons' result stores back into one, audited.
 
-    Conflicts (the same digest holding different task/stats payloads —
-    divergent simulator builds) are never copied and make the command
-    exit non-zero.
+    Conflicts (the same digest holding different results — divergent
+    simulator builds) are never copied and make the command exit
+    non-zero.  Every source must already be a store: a path that holds
+    none is an error, checked before the destination is created.
     """
     from .store import ResultStore
 
@@ -343,29 +345,29 @@ def merge_main(argv=None) -> int:
         prog="repro.sim merge-stores",
         description="Merge result stores (the write-back half of a "
                     "fabric run): copy entries absent from the "
-                    "destination, upgrade archival entries with latency "
-                    "sidecars, replace torn entries, and refuse "
-                    "digest-collision conflicts.",
+                    "destination, replace archival entries with entries "
+                    "that carry latency samples, replace torn entries, "
+                    "and refuse digest-collision conflicts.",
     )
     parser.add_argument("--into", required=True, metavar="DIR",
                         help="destination store (created if missing)")
     parser.add_argument("sources", nargs="+", metavar="SRC",
-                        help="source store directories")
+                        help="existing source store directories")
     parser.add_argument("--dry-run", action="store_true",
                         help="report what would be copied, write nothing")
     parser.add_argument("--verbose", action="store_true",
                         help="list every copied path and conflict digest")
     args = parser.parse_args(argv)
     try:
+        sources = [ResultStore.existing(source) for source in args.sources]
         dest = ResultStore(args.into)
     except (OSError, SimulationError) as error:
-        print(f"error: destination store {args.into!r} unusable: {error}",
-              file=sys.stderr)
+        print(f"error: result store unusable: {error}", file=sys.stderr)
         return 2
     conflicts = 0
-    for source in args.sources:
+    for source, store in zip(args.sources, sources):
         try:
-            report = dest.merge_from(source, dry_run=args.dry_run)
+            report = dest.merge_from(store, dry_run=args.dry_run)
         except (OSError, SimulationError) as error:
             print(f"error: source store {source!r} unusable: {error}",
                   file=sys.stderr)

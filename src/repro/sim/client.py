@@ -11,9 +11,11 @@ One wire protocol, one response reader, two I/O shells:
   after the same number of attempts.
 * Both list ``application/x-repro-frame`` in ``Accept``, so a 200
   ``/eval`` reply arrives as a binary frame
-  (:func:`repro.sim.server.encode_frame`): a JSON header plus the
-  per-request samples as packed float64, which become read-only views
-  into the reply body without a copy.  Every other reply, and every
+  (:func:`repro.sim.server.encode_frame`, on the frame codec
+  :func:`repro.sim.stats.pack_frame` that also lays out a result-store
+  entry): a JSON header plus the per-request samples as packed
+  float64, which become read-only views into the reply body without a
+  copy.  Every other reply, and every
   reply from a daemon that predates frames, is JSON; the
   ``Content-Type`` of each reply says which.
 
@@ -123,15 +125,20 @@ def _split_address(address: Optional[str]) -> Tuple[str, int]:
             f"${SERVER_ENV_VAR}")
     if "://" not in address:
         address = "http://" + address
-    parsed = urllib.parse.urlsplit(address)
+    try:
+        parsed = urllib.parse.urlsplit(address)
+        port = parsed.port
+    except ValueError as error:    # a bad port, a malformed IPv6 host
+        raise SimulationError(
+            f"bad server address {address!r}: {error}") from None
     if parsed.scheme != "http":
         raise SimulationError(
             f"unsupported server scheme {parsed.scheme!r} in {address!r}; "
             f"use http://host:port")
-    if not parsed.hostname or not parsed.port:
+    if not parsed.hostname or not port:
         raise SimulationError(
             f"server address {address!r} needs an explicit host and port")
-    return parsed.hostname, parsed.port
+    return parsed.hostname, port
 
 
 def _check_reply(reply: Any, status: Optional[int] = None) -> Dict[str, Any]:

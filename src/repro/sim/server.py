@@ -62,7 +62,7 @@ import numpy as np
 from ..errors import ReproError, SimulationError
 from .engine import (EvalTask, _resolve_workers, evaluate_cell_checked,
                      task_from_dict, task_to_dict)
-from .stats import SimStats, pack_latencies, unpack_latencies
+from .stats import SimStats, pack_frame, unpack_frame
 from .store import ResultStore, memoized_task_digest, task_digest
 from .sweep import SweepSpec
 
@@ -125,68 +125,38 @@ def encode_json(reply: Dict[str, Any]) -> bytes:
 
 
 def encode_frame(reply: Dict[str, Any]) -> bytes:
-    """A 200 ``/eval`` reply object as a binary frame.
+    """A 200 ``/eval`` reply object as a binary frame
+    (:func:`~repro.sim.stats.pack_frame`, the layout of a store entry).
 
-    Layout: one header line, the ``json.dumps`` of the reply with each
-    result's ``stats.latencies_ns`` array replaced by its length, then
-    every result's samples in result order, packed like the store's
-    ``.lat`` sidecar (:func:`~repro.sim.stats.pack_latencies`).  The
-    body ends exactly at the last block.  Spaces pad the header line
-    so each block starts 8-byte aligned (``bytes`` data is, so the
-    client's views are too): numpy sums a misaligned float64 view in
-    buffered chunks, which would change a served mean in its last bits.
+    The header line is the ``json.dumps`` of the reply with each
+    result's ``stats.latencies_ns`` array replaced by its length; every
+    result's samples follow in result order, and the body ends exactly
+    at the last block.
     """
-    results, blocks = [], []
-    for row in reply["results"]:
-        samples = row["stats"]["latencies_ns"]
-        results.append({**row, "stats": {**row["stats"],
-                                         "latencies_ns": len(samples)}})
-        blocks.append(pack_latencies(samples))
-    header = json.dumps({**reply, "results": results}).encode("utf-8")
-    padding = b" " * (-(len(header) + 1) % 8)
-    return b"".join([header, padding, b"\n", *blocks])
+    return b"".join(pack_frame(reply, json.dumps))
+
+
+def _reply_slots(reply: Any) -> List[Any]:
+    """The frame slots of a reply object: each result's stats."""
+    results = reply.get("results", []) if isinstance(reply, dict) else None
+    if not isinstance(results, list):
+        raise SimulationError("frame header is not a reply object")
+    return [row.get("stats") if isinstance(row, dict) else None
+            for row in results]
 
 
 def decode_frame(body: bytes,
                  loads: Callable[[bytes], Any]) -> Dict[str, Any]:
     """Inverse of :func:`encode_frame`: the reply object, each result's
     ``stats.latencies_ns`` a float64 view into ``body`` (no copy).
-
-    ``loads`` parses the header line (the caller's ``json.loads``).
-    Every shape error — no header line, a header that is not a JSON
-    object, a sample count that is not a non-negative int or runs past
-    the body, bytes after the last block — raises
-    :class:`SimulationError`.
+    ``loads`` parses the header line (the caller's ``json.loads``);
+    every shape error raises :class:`SimulationError`.
     """
-    end = body.find(b"\n")
-    if end < 0:
-        raise SimulationError("malformed server reply: frame has no "
-                              "header line")
     try:
-        reply = loads(body[:end])
-    except (ValueError, RecursionError) as error:
+        return unpack_frame(body, loads, _reply_slots)
+    except SimulationError as error:
         raise SimulationError(
-            f"malformed server reply: frame header: {error}") from None
-    results = reply.get("results", []) if isinstance(reply, dict) else None
-    if not isinstance(results, list):
-        raise SimulationError("malformed server reply: frame header is "
-                              "not a reply object")
-    offset = end + 1
-    for index, row in enumerate(results):
-        stats = row.get("stats") if isinstance(row, dict) else None
-        count = stats.get("latencies_ns") if isinstance(stats, dict) \
-            else None
-        if type(count) is not int or not 0 <= 8 * count <= len(body) - offset:
-            raise SimulationError(
-                f"malformed server reply: result {index} has no valid "
-                f"sample count within the frame")
-        stats["latencies_ns"] = unpack_latencies(body, count, offset)
-        offset += 8 * count
-    if offset != len(body):
-        raise SimulationError(
-            f"malformed server reply: {len(body) - offset} bytes after "
-            f"the last sample block")
-    return reply
+            f"malformed server reply: {error}") from None
 
 
 def _accepts_frame(accept: str) -> bool:

@@ -14,10 +14,12 @@ percentiles interpolate within their bin, so percentile queries against
 archival stores return numbers instead of NaN.
 
 The raw samples are a float64 ``np.ndarray`` in memory — the
-scheduler's completion-minus-admission array, or a store sidecar's or
-``/eval`` frame's buffer, passed through without a copy.  Outside
-memory they are packed little-endian float64 (:func:`pack_latencies`),
-and they only become a list of Python floats at the JSON boundary
+scheduler's completion-minus-admission array, or a view into a frame's
+bytes, passed through without a copy.  Outside memory they travel in
+frames (:func:`pack_frame`): one JSON header line, then the samples as
+packed little-endian float64 (:func:`pack_latencies`).  A result-store
+entry and a binary ``/eval`` reply are both frames.  The samples only
+become a list of Python floats at the JSON boundary
 (:meth:`SimStats.to_dict`).
 """
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -42,15 +44,15 @@ HIST_EDGES_NS = np.logspace(
     (HIST_DECADES[1] - HIST_DECADES[0]) * HIST_BINS_PER_DECADE + 1)
 
 
-def pack_latencies(latencies: np.ndarray) -> bytes:
-    """Per-request latencies as packed little-endian float64 bytes.
+def pack_latencies(latencies: np.ndarray) -> np.ndarray:
+    """Per-request latencies as a buffer of packed little-endian
+    float64, without a copy when they already are one.
 
-    The one binary sample layout: the result store's ``.lat`` sidecar
-    and the ``/eval`` frame's sample blocks.  Packed floats decode
-    orders of magnitude faster than a JSON array and round-trip
-    bit-exactly.
+    The one binary sample layout: the sample blocks of every frame
+    (:func:`pack_frame`).  Packed floats decode orders of magnitude
+    faster than a JSON array and round-trip bit-exactly.
     """
-    return np.asarray(latencies, dtype="<f8").tobytes()
+    return np.ascontiguousarray(latencies, dtype="<f8")
 
 
 def unpack_latencies(buffer: bytes, count: int = -1,
@@ -59,6 +61,62 @@ def unpack_latencies(buffer: bytes, count: int = -1,
     bytes into ``buffer``, viewed without a copy (read-only when
     ``buffer`` is ``bytes``)."""
     return np.frombuffer(buffer, dtype="<f8", count=count, offset=offset)
+
+
+def pack_frame(header: Any, dumps: Callable[..., str]) -> List[Any]:
+    """``header`` as a frame: one line, ``dumps(header)`` with every
+    sample array replaced by its length, then each array packed
+    (:func:`pack_latencies`) in the order the line names them.
+
+    Returns the buffers, to join or to hand to ``os.writev``: the
+    blocks are the arrays' own memory.  Spaces pad the line so that
+    the blocks start 8-byte aligned, as ``bytes`` data is: numpy sums
+    a misaligned float64 view in buffered chunks, which would change a
+    mean in its last bits.
+    """
+    blocks: List[np.ndarray] = []
+
+    def count(value: Any) -> int:
+        if not isinstance(value, np.ndarray):
+            raise TypeError(
+                f"{type(value).__name__} is not JSON serializable")
+        blocks.append(pack_latencies(value))
+        return len(value)
+
+    line = dumps(header, default=count).encode("utf-8")
+    return [line + b" " * (-(len(line) + 1) % 8) + b"\n", *blocks]
+
+
+def unpack_frame(body: bytes, loads: Callable[[bytes], Any],
+                 slots: Callable[[Any], List[Any]]) -> Any:
+    """Inverse of :func:`pack_frame`: the header, parsed by ``loads``.
+
+    ``slots(header)`` lists the dicts whose ``latencies_ns`` holds a
+    sample count, in frame order; each count becomes a float64 view
+    into ``body`` (no copy).  Every shape error raises
+    :class:`SimulationError`: no header line, a header ``loads``
+    rejects, a bad or overlong count, bytes after the last block.
+    """
+    end = body.find(b"\n")
+    if end < 0:
+        raise SimulationError("frame has no header line")
+    try:
+        header = loads(body[:end])
+    except (ValueError, RecursionError) as error:
+        raise SimulationError(f"frame header: {error}") from None
+    offset = end + 1
+    for index, slot in enumerate(slots(header)):
+        count = slot.get("latencies_ns") if isinstance(slot, dict) else None
+        if type(count) is not int or not 0 <= 8 * count <= len(body) - offset:
+            raise SimulationError(
+                f"block {index} has no valid sample count within the "
+                f"frame")
+        slot["latencies_ns"] = unpack_latencies(body, count, offset)
+        offset += 8 * count
+    if offset != len(body):
+        raise SimulationError(
+            f"{len(body) - offset} bytes after the last sample block")
+    return header
 
 
 def summarize_latencies(latencies_ns: List[float]) -> Dict[str, Any]:
@@ -284,7 +342,7 @@ class SimStats:
         (approximately, for percentiles) instead of reporting NaN.
         ``as_list=False`` leaves the samples (empty without
         ``latencies``) as the float64 array, for encoders that write
-        them packed, like the ``/eval`` frame.
+        them packed, like :func:`pack_frame`.
         """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         samples = self.latencies_ns if latencies else self.latencies_ns[:0]

@@ -5,9 +5,10 @@ content digest covering the task parameters **and** fingerprints of the
 device model and workload preset it would run, so results invalidate
 automatically when a model changes — re-running after editing, say, the
 COMET timing stack recomputes only the COMET cells.  The store itself is
-a plain directory of JSON entries (one per digest, sharded by prefix)
-with the bulky per-request latency samples in packed-float64 sidecars,
-written atomically so an interrupted sweep never leaves a torn entry:
+a plain directory of entries, one frame file per digest
+(:func:`repro.sim.stats.pack_frame`: a JSON header line, then the
+per-request latency samples packed), sharded by prefix and written
+atomically, so an interrupted sweep never leaves a torn entry:
 whatever completed before the interruption is served from disk on the
 next run, byte-identical to a cold computation.
 
@@ -30,13 +31,19 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError, SimulationError
-from .engine import EvalTask, TASK_FIELDS, clear_device_caches, device_for
-from .stats import SimStats, pack_latencies, unpack_latencies
+from .engine import EvalTask, clear_device_caches, device_for
+from .stats import SimStats, pack_frame, summarize_latencies, unpack_frame
 from .tracegen import get_workload
 
-#: Bump when the digest payload or entry layout changes incompatibly;
-#: stores written under another schema are rejected on open.
+#: Folded into every task digest and recorded in ``store.json``: bump
+#: when the digest payload changes incompatibly; stores written under
+#: another schema are rejected on open.  The entry layout is named by
+#: :data:`ENTRY_SUFFIX` instead, so a new layout keeps every digest and
+#: a build never reads another layout's files as entries.
 STORE_SCHEMA_VERSION = 1
+
+#: File suffix of one entry, a frame: ``cells/<ab>/<digest>.cell``.
+ENTRY_SUFFIX = ".cell"
 
 #: Simulator-*behavior* version, folded into every task digest.  The
 #: device/workload fingerprints invalidate stored results when a model
@@ -59,30 +66,65 @@ def _sha256(payload: Any) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
-def open_staging(target: Path, mode: str = "wb", **kwargs):
-    """Create a ``.<target-name>.<suffix>`` staging file beside ``target``.
+def _create_staging(target: Path) -> Tuple[int, Path]:
+    """Create a ``.<target-name>.<suffix>`` staging file beside
+    ``target``; returns its descriptor and path.
 
     The file is created ``O_EXCL`` with mode 0o666, so the kernel
     applies the process umask: reading the umask would mean setting it,
     process-wide, under every other thread.  The pid and thread id in
-    the suffix keep concurrent writers apart.  Returns the open file and
-    its path."""
+    the suffix keep concurrent writers apart."""
     for attempt in itertools.count():
         temp = target.with_name(f".{target.name}.{os.getpid()}-"
                                 f"{threading.get_ident()}-{attempt}")
         try:
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                           0o666), temp
         except FileExistsError:
             continue    # left behind by a dead writer with these ids
-        return os.fdopen(fd, mode, **kwargs), temp
 
 
-#: :func:`open_staging`'s ``.<target>.<suffix>`` names, matched on the
-#: target: the metadata file in the store root, an entry or sidecar in
-#: a shard.  Any suffix matches (older builds staged through
-#: ``NamedTemporaryFile``, with random ones).
+def open_staging(target: Path, mode: str = "wb", **kwargs):
+    """:func:`_create_staging`, as an open file object: returns the
+    file and its path."""
+    fd, temp = _create_staging(target)
+    return os.fdopen(fd, mode, **kwargs), temp
+
+
+def _write_atomic(path: Path, buffers: Sequence[Any]) -> None:
+    """Write ``buffers`` to ``path`` through one staging file, one
+    ``os.writev`` and one ``os.replace``.  The parent directory is
+    made only when the staging file cannot be created without it."""
+    try:
+        fd, temp = _create_staging(path)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, temp = _create_staging(path)
+    try:
+        try:
+            if os.writev(fd, buffers) != sum(memoryview(buffer).nbytes
+                                             for buffer in buffers):
+                raise OSError(f"short write to {temp} (disk full?)")
+        finally:
+            os.close(fd)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+
+
+#: Staging names of what a store writes, matched on the target: the
+#: metadata file in the store root, an entry (of either layout) in a
+#: shard.  Any suffix matches: older builds used random ones.
 _ROOT_STAGING = re.compile(r"\.store\.json\..+")
-_SHARD_STAGING = re.compile(r"\.[0-9a-f]{64}\.(?:json|lat)\..+")
+_SHARD_STAGING = re.compile(r"\.[0-9a-f]{64}\.(?:cell|json|lat)\..+")
+
+#: Files of the older two-file layout (a JSON entry and a ``.lat``
+#: sidecar per cell): never read, removed by ``gc`` as stale.
+_OLD_LAYOUT = re.compile(r"[0-9a-f]{64}\.(?:json|lat)")
 
 
 _FINGERPRINT_CACHE: Dict[Tuple[str, str], str] = {}
@@ -184,20 +226,18 @@ class GcReport:
     dry_run: bool = False
     live: int = 0
     removed_stale: List[Path] = field(default_factory=list)
-    removed_sidecars: List[Path] = field(default_factory=list)
     removed_temp_files: List[Path] = field(default_factory=list)
     removed_dirs: List[Path] = field(default_factory=list)
 
     @property
     def removed_total(self) -> int:
-        return (len(self.removed_stale) + len(self.removed_sidecars)
-                + len(self.removed_temp_files) + len(self.removed_dirs))
+        return (len(self.removed_stale) + len(self.removed_temp_files)
+                + len(self.removed_dirs))
 
     def describe(self) -> str:
         verb = "would remove" if self.dry_run else "removed"
         return (f"{self.live} live entries kept; {verb} "
                 f"{len(self.removed_stale)} stale entries, "
-                f"{len(self.removed_sidecars)} orphaned sidecars, "
                 f"{len(self.removed_temp_files)} temp files, "
                 f"{len(self.removed_dirs)} empty shard dirs")
 
@@ -208,10 +248,10 @@ class MergeReport:
     for auditing / ``--dry-run``), in the :class:`GcReport` mold.
 
     ``conflicts`` is the audit that makes merging safe: two stores
-    holding the *same digest* with *different* task/stats payloads mean
-    one of them was produced by divergent simulator code (a digest
-    collision by construction cannot happen otherwise) — those entries
-    are never copied, and the CLI exits non-zero.
+    holding the *same digest* with *different* results mean one of them
+    was produced by divergent simulator code (a digest collision by
+    construction cannot happen otherwise) — those entries are never
+    copied, and the CLI exits non-zero.
     """
 
     dry_run: bool = False
@@ -232,28 +272,70 @@ class MergeReport:
         verb = "would copy" if self.dry_run else "copied"
         line = (f"{verb} {len(self.merged)} new entries from "
                 f"{self.source or 'source'} ({len(self.upgraded)} "
-                f"archival entries upgraded with latency sidecars, "
+                f"archival entries upgraded with samples, "
                 f"{len(self.replaced_torn)} torn destination entries "
                 f"replaced); {self.already_present} already present, "
                 f"{len(self.skipped_unreadable)} unreadable source "
                 f"entries skipped")
         if self.conflicts:
             line += (f"; {len(self.conflicts)} CONFLICTS "
-                     f"(same digest, different payload) left uncopied")
+                     f"(same digest, different result) left uncopied")
         return line
 
 
+#: What reading an entry raises when it cannot be served: a missing
+#: file, a torn frame, stats that do not load, an unknown model.
+_UNREADABLE = (OSError, ReproError, KeyError, TypeError, ValueError)
+
+
+def _entry_slots(entry: Any) -> List[Any]:
+    """The frame slots of a store entry: its one stats dict."""
+    return [entry.get("stats") if isinstance(entry, dict) else None]
+
+
+def _decode(blob: bytes) -> Tuple[Dict[str, Any], SimStats]:
+    """One entry file's bytes → its header (the samples a view into
+    ``blob``) and its stats; raises one of :data:`_UNREADABLE`."""
+    entry = unpack_frame(blob, json.loads, _entry_slots)
+    return entry, SimStats.from_dict(entry["stats"])
+
+
+def _same_result(ours: Dict[str, Any], theirs: Dict[str, Any]) -> bool:
+    """Whether two decoded entries of one digest store the same result.
+
+    Every field but the samples must match, and two entries with
+    samples must hold the same sample bytes.  An archival entry (no
+    samples, a latency summary) and an entry with samples are the same
+    result exactly when the summary is that of the samples.
+    """
+    a, b = ours["stats"]["latencies_ns"], theirs["stats"]["latencies_ns"]
+    skip = {"latencies_ns"}
+    if bool(a.size) == bool(b.size):
+        same = a.tobytes() == b.tobytes()
+    else:
+        skip.add("latency_summary")
+        archival, samples = (ours, b) if b.size else (theirs, a)
+        same = archival["stats"].get("latency_summary") \
+            == summarize_latencies(samples)
+    rest = [{**entry, "stats": {key: value
+                                for key, value in entry["stats"].items()
+                                if key not in skip}}
+            for entry in (ours, theirs)]
+    return same and rest[0] == rest[1]
+
+
 class ResultStore:
-    """On-disk result store: ``directory/cells/<ab>/<digest>.json``
-    entries plus ``<digest>.lat`` packed-latency sidecars.
+    """On-disk result store: one ``directory/cells/<ab>/<digest>.cell``
+    frame per cell (see :meth:`put`), and ``store.json``.
 
     * **Content-addressed** — the filename is :func:`task_digest`, so a
-      lookup is one ``open``; stale results (changed device/workload
-      models) simply stop being addressed.
-    * **Atomic** — entries are written to a temp file and ``os.replace``d
-      into place, sidecar before entry; readers never observe a torn
-      entry, and an interrupted sweep resumes from exactly the cells
-      that completed.
+      lookup is one ``open``, whose bytes the samples are viewed in;
+      stale results (changed device/workload models) simply stop being
+      addressed.
+    * **Atomic** — each entry is written to a staging file with one
+      ``os.writev`` and ``os.replace``d into place; readers never
+      observe a torn entry, and an interrupted sweep resumes from
+      exactly the cells that completed.
     * **Self-describing** — each entry carries the task parameters and
       fingerprints alongside the serialized stats, so a store can be
       exported or audited without recomputing digests.
@@ -268,10 +350,12 @@ class ResultStore:
     * concurrent ``put`` of the same digest is benign: the digest pins
       the task *and* model fingerprints, evaluation is deterministic,
       so both writers rename identical bytes and either rename winning
-      leaves a valid entry (sidecars are written before the entry that
-      references them);
+      leaves a valid entry;
     * entries vanishing mid-read (a concurrent invalidation or GC) are
       reported as misses, not raised.
+
+    Files of the older two-file layout (``<digest>.json`` plus a
+    ``.lat`` sidecar) are never read; :meth:`gc` removes them.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -279,6 +363,16 @@ class ResultStore:
         self.cells_dir = self.root / "cells"
         self.cells_dir.mkdir(parents=True, exist_ok=True)
         self._check_meta()
+
+    @classmethod
+    def existing(cls, root: Union[str, Path]) -> "ResultStore":
+        """Open a store that must already exist (``gc``, a merge
+        source): a path without ``store.json`` raises
+        :class:`SimulationError`, and nothing is created."""
+        if not (Path(root) / "store.json").is_file():
+            raise SimulationError(f"no result store at {str(root)!r} "
+                                  f"(it has no store.json)")
+        return cls(root)
 
     def _check_meta(self) -> None:
         meta_path = self.root / "store.json"
@@ -293,9 +387,9 @@ class ResultStore:
                     f"store {self.root} has schema {meta.get('schema')!r}; "
                     f"this build writes schema {STORE_SCHEMA_VERSION}")
         else:
-            self._atomic_write(
-                meta_path, {"schema": STORE_SCHEMA_VERSION,
-                            "format": "repro.sim result store"})
+            _write_atomic(meta_path, [json.dumps(
+                {"schema": STORE_SCHEMA_VERSION,
+                 "format": "repro.sim result store"}).encode("utf-8")])
 
     # -- addressing ---------------------------------------------------------
 
@@ -303,17 +397,18 @@ class ResultStore:
         return self._digest_path(task_digest(task))
 
     def _digest_path(self, digest: str) -> Path:
-        return self.cells_dir / digest[:2] / f"{digest}.json"
+        return self.cells_dir / digest[:2] / f"{digest}{ENTRY_SUFFIX}"
+
+    def _entry_paths(self) -> List[Path]:
+        return sorted(self.cells_dir.glob(f"*/*{ENTRY_SUFFIX}"))
 
     # -- read/write ---------------------------------------------------------
 
     def get(self, task: EvalTask) -> Optional[SimStats]:
         """Stored stats for a task, or ``None`` (miss / unreadable)."""
-        path = self.path_for(task)
         try:
-            return self._entry_stats(json.loads(path.read_text()), path)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                SimulationError, OSError):
+            return _decode(self.path_for(task).read_bytes())[1]
+        except _UNREADABLE:
             # Unreadable entries — torn by a crashed writer, deleted by
             # a concurrent GC, or plain missing — are treated as misses
             # and recomputed (the subsequent put overwrites atomically).
@@ -337,57 +432,47 @@ class ResultStore:
             latencies: bool = True) -> str:
         """Persist one cell atomically; returns its digest.
 
-        Every entry carries a fixed-bin latency summary (exact
-        count/mean/min/max plus a log-spaced histogram) in its JSON, so
-        ``latencies=False`` archival entries — which skip the bulky
-        per-request sidecar — still answer mean/percentile/max queries
-        on reload instead of degrading to NaN columns.  Stats without
-        samples (an archival entry read back, a trimmed wire reply) are
-        stored archival whatever ``latencies`` says: there is nothing to
-        put in a sidecar, and their summary must survive the re-put.
+        The entry is a frame: a JSON header line (task, fingerprints,
+        stats) padded to 8 bytes, then the per-request samples packed.
+        With ``latencies=False`` it is archival, the header line alone,
+        whose stats carry a fixed-bin latency summary (exact
+        count/mean/min/max plus a log-spaced histogram) instead, so it
+        still answers mean/percentile/max queries on reload.  An entry
+        with samples stores no summary.  Stats without samples (an
+        archival entry read back, a trimmed wire reply) are stored
+        archival whatever ``latencies`` says, so their summary survives.
         """
         digest = task_digest(task)
-        path = self._digest_path(digest)
+        with_samples = latencies and stats.latencies_ns.size > 0
         entry = {
             "schema": STORE_SCHEMA_VERSION,
             "digest": digest,
             "task": dataclasses.asdict(task),
             "device_fingerprint": device_fingerprint(task.architecture),
             "workload_fingerprint": workload_fingerprint(task.workload),
-            "stats": stats.to_dict(latencies=False),
+            "stats": stats.to_dict(latencies=with_samples, as_list=False),
         }
-        with_samples = latencies and stats.latencies_ns.size > 0
-        if with_samples:
-            # Sidecar before entry: an entry that names a latency count
-            # always finds complete bytes beside it.
-            entry["latencies_count"] = len(stats.latencies_ns)
-            self._atomic_write_bytes(self._sidecar_path(path),
-                                     pack_latencies(stats.latencies_ns))
-        self._atomic_write(path, entry)
-        if not with_samples:
-            # Re-putting a cell in archival mode must actually reclaim
-            # the bulky sidecar; the new entry no longer references it.
-            self._sidecar_path(path).unlink(missing_ok=True)
+        _write_atomic(self._digest_path(digest),
+                      pack_frame(entry, json.dumps))
         return digest
 
     def __contains__(self, task: EvalTask) -> bool:
         return self.path_for(task).exists()
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.cells_dir.glob("*/*.json"))
+        return len(self._entry_paths())
 
     def entries(self) -> Iterator[Tuple[EvalTask, SimStats]]:
         """Iterate every readable stored cell (digest order)."""
-        for path in sorted(self.cells_dir.glob("*/*.json")):
+        for path in self._entry_paths():
             try:
-                entry = json.loads(path.read_text())
+                entry, stats = _decode(path.read_bytes())
                 task = EvalTask(**entry["task"])
-                yield task, self._entry_stats(entry, path)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    SimulationError, OSError):
+            except _UNREADABLE:
                 # Same rule as get(): entries torn or concurrently
                 # removed are skipped, not raised.
                 continue
+            yield task, stats
 
     # -- garbage collection -------------------------------------------------
 
@@ -396,18 +481,14 @@ class ResultStore:
 
         Stale results are invisible to ``get`` (the digest stops being
         addressed) but were never *deleted*, so a long-lived store grows
-        without bound across model edits.  ``gc`` removes:
-
-        * entries whose digest no longer matches the current
-          :func:`task_digest` of their recorded task — a changed device
-          or workload fingerprint, a bumped :data:`RESULTS_VERSION`, or
-          a task naming a model that no longer exists;
-        * unreadable entries (torn JSON, missing or size-mismatched
-          latency sidecars — anything ``get`` would report as a miss);
-        * latency sidecars no live entry references (crashed archival
-          re-puts, removed entries);
-        * staging temp files left behind by writers that died before
-          their atomic rename.
+        without bound across model edits.  ``gc`` removes as stale the
+        entries whose digest no longer matches the current
+        :func:`task_digest` of their recorded task (a changed device or
+        workload fingerprint, a bumped :data:`RESULTS_VERSION`, a model
+        that no longer exists), the entries ``get`` cannot read (a torn
+        frame, stats that do not load) and the files of the older
+        two-file layout; and as temp files, the staging files of
+        writers that died before their atomic rename.
 
         Live entries are untouched and byte-identical afterwards.
         ``dry_run`` reports what would be removed without deleting.
@@ -416,58 +497,47 @@ class ResultStore:
         whose in-flight temp files would look abandoned.
         """
         report = GcReport(dry_run=dry_run)
-        # One parse per entry: liveness and whether it references its
-        # sidecar are decided together, so the orphan pass below never
-        # re-reads entry JSON.
-        wants_sidecar: Dict[Path, bool] = {}
-        removed_sidecars: set = set()
-        for path in sorted(self.cells_dir.glob("*/*.json")):
-            references = self._entry_is_live(path)
-            if references is not None:
-                wants_sidecar[path] = references
-                report.live += 1
-            else:
-                report.removed_stale.append(path)
-                if not dry_run:
-                    path.unlink(missing_ok=True)
-                sidecar = self._sidecar_path(path)
-                if sidecar.exists():
-                    removed_sidecars.add(sidecar)
-                    if not dry_run:
-                        sidecar.unlink(missing_ok=True)
-        for sidecar in sorted(self.cells_dir.glob("*/*.lat")):
-            if sidecar in removed_sidecars:
-                continue
-            if not wants_sidecar.get(sidecar.with_suffix(".json"), False):
-                removed_sidecars.add(sidecar)
-                if not dry_run:
-                    sidecar.unlink(missing_ok=True)
-        report.removed_sidecars = sorted(removed_sidecars)
         # Only the staging files of what this store writes — never
         # unrelated hidden files a user or NFS put beside the store
         # (.gitignore, .notes.json.bak, .nfsXXXX silly-renames of open
         # handles).
-        candidates = [p for p in self.root.glob(".*")
-                      if _ROOT_STAGING.fullmatch(p.name)] \
-            + [p for p in self.cells_dir.glob("*/.*")
-               if _SHARD_STAGING.fullmatch(p.name)]
-        for temp in sorted(candidates):
-            if temp.is_file():
-                report.removed_temp_files.append(temp)
+        doomed = [(path, report.removed_temp_files)
+                  for path in self.root.glob(".*")
+                  if _ROOT_STAGING.fullmatch(path.name)]
+        for path in sorted(self.cells_dir.glob("*/*")):
+            if _SHARD_STAGING.fullmatch(path.name):
+                doomed.append((path, report.removed_temp_files))
+            elif path.suffix == ENTRY_SUFFIX and self._is_live(path):
+                report.live += 1
+            elif path.suffix == ENTRY_SUFFIX \
+                    or _OLD_LAYOUT.fullmatch(path.name):
+                doomed.append((path, report.removed_stale))
+        for path, removed in sorted(doomed):
+            if path.is_file():
+                removed.append(path)
                 if not dry_run:
-                    temp.unlink(missing_ok=True)
+                    path.unlink(missing_ok=True)
         return report
+
+    @staticmethod
+    def _is_live(path: Path) -> bool:
+        """Whether ``get`` can serve this entry again: it reads, and
+        its recorded task still digests to its name."""
+        try:
+            entry, _ = _decode(path.read_bytes())
+            return task_digest(EvalTask(**entry["task"])) == path.stem
+        except _UNREADABLE:
+            # Unreadable, mis-shaped, or addressing a model this build
+            # no longer knows: nothing can ever serve it again.
+            return False
 
     def compact(self, dry_run: bool = False) -> "GcReport":
         """:meth:`gc`, then drop shard directories gc left empty."""
         report = self.gc(dry_run=dry_run)
+        doomed = set(report.removed_stale + report.removed_temp_files)
         for shard in sorted(self.cells_dir.iterdir()):
             if not shard.is_dir():
                 continue
-            doomed = {p for p in (report.removed_stale
-                                  + report.removed_sidecars
-                                  + report.removed_temp_files)
-                      if p.parent == shard}
             try:
                 empty = not any(p for p in shard.iterdir()
                                 if p not in doomed)
@@ -494,20 +564,22 @@ class ResultStore:
         its own ``--store``; this folds them back together.  File-level
         by digest filename — no device models are built, so stores can
         be merged on a machine that cannot even run the simulations.
+        A source given as a path must already be a store
+        (:meth:`existing`).
 
-        Per source entry (sidecar copied before entry, same atomicity
-        as ``put``):
+        Per source entry (one file copied, with the atomicity of
+        ``put``):
 
         * digest absent here → copied (``merged``);
-        * present and byte-equivalent → skipped (``already_present``);
-          if the source additionally carries latency samples our
+        * present with the same result (:func:`_same_result`) → skipped
+          (``already_present``); if the source carries the samples our
           archival entry lacks, the richer entry wins (``upgraded``);
         * present but torn/unreadable here → replaced
           (``replaced_torn``);
-        * present with a *different* task/stats payload → **conflict**:
-          never copied, listed in ``conflicts`` for the caller to
-          refuse (same digest + different payload means divergent
-          simulator builds wrote the two stores);
+        * present with a *different* result → **conflict**: never
+          copied, listed in ``conflicts`` for the caller to refuse
+          (same digest + different result means divergent simulator
+          builds wrote the two stores);
         * unreadable or torn in the *source* → skipped and counted.
 
         ``dry_run`` reports without writing.  Safe against concurrent
@@ -515,145 +587,34 @@ class ResultStore:
         it against a store another process is actively writing.
         """
         if not isinstance(source, ResultStore):
-            source = ResultStore(source)
+            source = ResultStore.existing(source)
         report = MergeReport(dry_run=dry_run, source=str(source.root))
-        for src_path in sorted(source.cells_dir.glob("*/*.json")):
-            digest = src_path.stem
-            src = self._readable_entry(src_path)
-            if src is None:
+        for src_path in source._entry_paths():
+            try:
+                blob = src_path.read_bytes()
+                src, _ = _decode(blob)
+            except _UNREADABLE:
                 report.skipped_unreadable.append(src_path)
                 continue
-            src_entry, src_blob = src
-            dst_path = self._digest_path(digest)
-            dst = self._readable_entry(dst_path) \
-                if dst_path.exists() else None
-            if dst is not None:
-                dst_entry = dst[0]
-                if (self._comparable(src_entry)
-                        != self._comparable(dst_entry)):
-                    report.conflicts.append(digest)
-                    continue
-                if (not src_entry.get("latencies_count")
-                        or dst_entry.get("latencies_count")):
-                    report.already_present += 1
-                    continue
-                # Same payload, but the source carries the per-request
-                # sidecar our archival entry dropped: take the richer
-                # one.
-                report.upgraded.append(dst_path)
-            elif dst_path.exists():
+            dst_path = self._digest_path(src_path.stem)
+            try:
+                dst, _ = _decode(dst_path.read_bytes())
+            except FileNotFoundError:
+                report.merged.append(dst_path)
+            except _UNREADABLE:
                 report.replaced_torn.append(dst_path)
             else:
-                report.merged.append(dst_path)
-            if dry_run:
-                continue
-            count = src_entry.get("latencies_count")
-            if count is not None:
-                self._atomic_write_bytes(
-                    self._sidecar_path(dst_path),
-                    source._sidecar_path(src_path).read_bytes())
-            self._atomic_write_bytes(dst_path, src_blob)
-            if count is None:
-                self._sidecar_path(dst_path).unlink(missing_ok=True)
+                if not _same_result(src, dst):
+                    report.conflicts.append(src_path.stem)
+                    continue
+                if (not src["stats"]["latencies_ns"].size
+                        or dst["stats"]["latencies_ns"].size):
+                    report.already_present += 1
+                    continue
+                # Same result, but the source carries the per-request
+                # samples our archival entry dropped: take the richer
+                # one.
+                report.upgraded.append(dst_path)
+            if not dry_run:
+                _write_atomic(dst_path, [blob])
         return report
-
-    def _readable_entry(self, path: Path) \
-            -> Optional[Tuple[Dict[str, Any], bytes]]:
-        """Parsed entry + raw bytes, or ``None`` if torn/unreadable
-        (mis-shaped JSON, or a latency sidecar missing/size-mismatched).
-        """
-        try:
-            blob = path.read_bytes()
-            entry = json.loads(blob)
-            if (not isinstance(entry, dict)
-                    or not isinstance(entry.get("task"), dict)
-                    or "stats" not in entry):
-                return None
-            count = entry.get("latencies_count")
-            if count is not None:
-                sidecar = self._sidecar_path(path)
-                if sidecar.stat().st_size != 8 * count:
-                    return None
-            return entry, blob
-        except (OSError, json.JSONDecodeError, TypeError, ValueError):
-            return None
-
-    @staticmethod
-    def _comparable(entry: Dict[str, Any]) -> Dict[str, Any]:
-        """The digest-collision comparison payload: everything except
-        the sidecar bookkeeping (an archival and a latency-bearing
-        entry for the same cell are *equivalent*, not conflicting)."""
-        return {key: value for key, value in entry.items()
-                if key != "latencies_count"}
-
-    def _entry_is_live(self, path: Path) -> Optional[bool]:
-        """Liveness of one entry, decided in a single parse.
-
-        ``None`` — dead: ``get`` could never serve it again (unreadable,
-        mis-shaped, stale digest, torn sidecar).  Otherwise live, and
-        the bool says whether the entry references a latency sidecar
-        (``False`` = archival entry, its ``.lat`` is an orphan).
-        """
-        try:
-            entry = json.loads(path.read_text())
-            task_payload = entry["task"]
-            if (not isinstance(task_payload, dict)
-                    or set(task_payload) - set(TASK_FIELDS)):
-                return None
-            task = EvalTask(**task_payload)
-            if task_digest(task) != path.stem:
-                return None
-            count = entry.get("latencies_count")
-            if count is not None:
-                sidecar = self._sidecar_path(path)
-                if sidecar.stat().st_size != 8 * count:
-                    return None
-            return count is not None
-        except (ReproError, OSError, json.JSONDecodeError, KeyError,
-                TypeError, ValueError):
-            # Unreadable, mis-shaped, or addressing a model this build
-            # no longer knows: nothing can ever serve it again.
-            return None
-
-    # -- internals ----------------------------------------------------------
-
-    @staticmethod
-    def _sidecar_path(entry_path: Path) -> Path:
-        return entry_path.with_suffix(".lat")
-
-    def _entry_stats(self, entry: Dict[str, Any], path: Path) -> SimStats:
-        payload = entry["stats"]
-        count = entry.get("latencies_count")
-        if count is not None:
-            blob = self._sidecar_path(path).read_bytes()
-            if len(blob) != 8 * count:
-                raise ValueError("torn latency sidecar")
-            if count:
-                # With the raw samples restored the fixed-bin summary is
-                # redundant — drop it so a loaded entry compares equal to
-                # a freshly computed one (the warm/cold bit-identity
-                # pins).  A count of 0 restores nothing: keep the summary.
-                payload = dict(payload,
-                               latencies_ns=unpack_latencies(blob),
-                               latency_summary=None)
-        return SimStats.from_dict(payload)
-
-    @classmethod
-    def _atomic_write(cls, path: Path, payload: Dict[str, Any]) -> None:
-        cls._atomic_write_bytes(path, json.dumps(payload).encode("utf-8"))
-
-    @staticmethod
-    def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Umask-derived permissions keep the store rsync/NFS-shareable.
-        handle, temp = open_staging(path)
-        try:
-            with handle:
-                handle.write(blob)
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise

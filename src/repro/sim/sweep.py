@@ -216,7 +216,7 @@ def run_sweep(
     up the surviving cells and produces bit-identical final results.
 
     ``store_latencies=False`` checkpoints archival entries: no raw
-    per-request sidecars, an order of magnitude less disk for large
+    per-request samples, an order of magnitude less disk for large
     DSE grids, with export percentiles served from the store's
     fixed-bin latency histograms instead of the samples.
     """

@@ -19,6 +19,7 @@ receives an ERROR record.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 
@@ -28,6 +29,7 @@ from repro.arch import CometArchitecture
 from repro.device import CellProgrammer, MultiLevelCell, OpticalGstCell
 from repro.materials import get_material
 from repro.sim import _fastloop
+from repro.sim.stats import pack_frame, unpack_frame
 
 
 def pytest_addoption(parser):
@@ -129,6 +131,20 @@ def expected_dispatch():
             "fallback_toolchain": 0 if twin else eligible,
         }
     return expected
+
+
+@pytest.fixture
+def edit_entry():
+    """``edit_entry(path, edit)`` rewrites a result-store entry file:
+    ``edit`` changes its decoded header in place (the samples are
+    ``header["stats"]["latencies_ns"]``), and the file is written back
+    as a frame again, so it still decodes."""
+    def edit_entry(path, edit):
+        entry = unpack_frame(path.read_bytes(), json.loads,
+                             lambda header: [header["stats"]])
+        edit(entry)
+        path.write_bytes(b"".join(pack_frame(entry, json.dumps)))
+    return edit_entry
 
 
 @pytest.fixture(scope="session")

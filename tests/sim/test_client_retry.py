@@ -405,6 +405,32 @@ class TestMalformedEvalReplies:
         assert connections == 1
 
 
+#: Addresses urllib refuses to parse: a port that is not an integer, a
+#: port out of range, an IPv6 host with no closing bracket.
+BAD_ADDRESSES = ("http://127.0.0.1:abc", "http://127.0.0.1:99999",
+                 "http://[::1")
+
+
+class TestServerAddresses:
+    """A server address that does not parse is the structured error
+    every other bad address gets, naming the address — never
+    urllib's raw ValueError."""
+
+    @pytest.mark.parametrize("address", BAD_ADDRESSES)
+    @pytest.mark.parametrize("shell", [EvalClient, AsyncEvalClient])
+    def test_bad_address_is_structured(self, shell, address):
+        with pytest.raises(SimulationError,
+                           match="bad server address") as excinfo:
+            shell(address)
+        assert repr(address) in str(excinfo.value)
+
+    def test_query_cli_with_a_bad_port_exits_1(self, capsys):
+        from repro.sim.client import query_main
+        assert query_main(["--server", "http://127.0.0.1:abc",
+                           "--stats"]) == 1
+        assert "bad server address" in capsys.readouterr().err
+
+
 # -- the /eval frame parser ---------------------------------------------------
 
 #: Samples as a daemon may produce them, plus the floats JSON spells
@@ -497,6 +523,25 @@ class TestFrameParser:
             assert not got.latencies_ns.flags.owndata
             assert not got.latencies_ns.flags.writeable
             assert got.latencies_ns.flags.aligned
+
+    @given(stats_list=st.lists(sim_stats(), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_bytes_are_the_documented_layout(self, stats_list):
+        """The bytes on the wire: the reply's ``json.dumps`` with each
+        sample array replaced by its length, spaces to the next 8-byte
+        boundary, a newline, then every result's samples as packed
+        ``<f8`` in result order."""
+        reply = eval_reply(stats_list)
+        rows = reply["results"]
+        line = json.dumps({**reply, "results": [
+            {**row, "stats": {**row["stats"],
+                              "latencies_ns": len(row["stats"]
+                                                  ["latencies_ns"])}}
+            for row in rows]}).encode()
+        assert frame_of(stats_list) == b"".join(
+            [line, b" " * (-(len(line) + 1) % 8), b"\n",
+             *(np.asarray(row["stats"]["latencies_ns"], "<f8").tobytes()
+               for row in rows)])
 
     @given(stats_list=st.lists(sim_stats(), min_size=1, max_size=2))
     @settings(max_examples=25, deadline=None)

@@ -12,6 +12,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -469,25 +470,64 @@ class TestStoreMerge:
         assert report.already_present == 1 and not report.upgraded
         assert dest.get(TASK) == stats
 
-    def test_merge_detects_digest_collision_conflicts(self, tmp_path):
+    def test_merge_detects_digest_collision_conflicts(self, tmp_path,
+                                                      edit_entry):
         stats = evaluate_cell(TASK)
         source = ResultStore(tmp_path / "src")
         source.put(TASK, stats)
         dest = ResultStore(tmp_path / "dst")
         dest.put(TASK, stats)
-        # Tamper the destination payload in place: same digest, a
+        # Tamper the destination's header line in place: same digest, a
         # different stats payload — what divergent simulator builds
         # sharing a RESULTS_VERSION would produce.
         path = dest.path_for(TASK)
-        entry = json.loads(path.read_text())
-        entry["stats"]["num_reads"] = entry["stats"]["num_reads"] + 1
-        path.write_text(json.dumps(entry))
+        edit_entry(path, lambda entry: entry["stats"].update(
+            num_reads=entry["stats"]["num_reads"] + 1))
+        tampered = path.read_bytes()
         report = dest.merge_from(source)
         assert report.conflicts == [task_digest(TASK)]
         assert not report.merged and not report.replaced_torn
         # The conflicting entry was left exactly as it was, not
         # clobbered by the source's version.
-        assert json.loads(path.read_text()) == entry
+        assert path.read_bytes() == tampered
+
+    def test_merge_detects_a_one_ulp_sample_change(self, tmp_path,
+                                                   edit_entry):
+        """Two entries with samples are the same result only when their
+        sample bytes are: one sample one ulp off is a conflict."""
+        stats = evaluate_cell(TASK)
+        source = ResultStore(tmp_path / "src")
+        source.put(TASK, stats)
+        dest = ResultStore(tmp_path / "dst")
+        dest.put(TASK, stats)
+
+        def nudge(entry):
+            samples = entry["stats"]["latencies_ns"].copy()
+            samples[len(samples) // 2] = np.nextafter(
+                samples[len(samples) // 2], np.inf)
+            entry["stats"]["latencies_ns"] = samples
+        edit_entry(dest.path_for(TASK), nudge)
+        report = dest.merge_from(source)
+        assert report.conflicts == [task_digest(TASK)]
+        assert not report.already_present and not report.copied_total
+
+    def test_merge_checks_an_archival_summary_against_the_samples(
+            self, tmp_path, edit_entry):
+        """An archival entry and an entry with samples are the same
+        result exactly when the summary is that of the samples."""
+        stats = evaluate_cell(TASK)
+        full = ResultStore(tmp_path / "full")
+        full.put(TASK, stats)
+        archival = ResultStore(tmp_path / "arch")
+        archival.put(TASK, stats, latencies=False)
+        edit_entry(archival.path_for(TASK),
+                   lambda entry: entry["stats"]["latency_summary"].update(
+                       max_ns=entry["stats"]["latency_summary"]["max_ns"]
+                       + 1.0))
+        for dest, source in ((archival, full), (full, archival)):
+            report = dest.merge_from(source)
+            assert report.conflicts == [task_digest(TASK)]
+            assert not report.upgraded and not report.already_present
 
     def test_merge_replaces_torn_destination_entries(self, tmp_path):
         stats = evaluate_cell(TASK)
@@ -537,7 +577,7 @@ class TestStoreMerge:
         assert warm.results == result.results == run_sweep(SPEC).results
 
     def test_merge_stores_cli_reports_conflicts_nonzero(self, tmp_path,
-                                                        capsys):
+                                                        capsys, edit_entry):
         from repro.sim.__main__ import merge_main
         stats = evaluate_cell(TASK)
         source = ResultStore(tmp_path / "src")
@@ -546,10 +586,8 @@ class TestStoreMerge:
         dest.put(TASK, stats)
         assert merge_main(["--into", str(tmp_path / "dst"),
                            str(tmp_path / "src")]) == 0
-        path = dest.path_for(TASK)
-        entry = json.loads(path.read_text())
-        entry["stats"]["num_reads"] += 1
-        path.write_text(json.dumps(entry))
+        edit_entry(dest.path_for(TASK), lambda entry: entry["stats"].update(
+            num_reads=entry["stats"]["num_reads"] + 1))
         assert merge_main(["--into", str(tmp_path / "dst"),
                            str(tmp_path / "src")]) == 1
         assert "conflict" in capsys.readouterr().err.lower()

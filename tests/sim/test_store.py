@@ -8,7 +8,10 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.__main__ import main as cli_main
@@ -48,6 +51,12 @@ print(*sorted(seen))
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "results")
+
+
+def _header_only(path):
+    """Whether an entry file is its header line alone (no samples)."""
+    blob = path.read_bytes()
+    return blob.index(b"\n") == len(blob) - 1
 
 
 class TestDigests:
@@ -102,14 +111,13 @@ class TestResultStore:
         store.path_for(TASK).write_text("{not json")
         assert store.get(TASK) is None
 
-    def test_missing_or_torn_sidecar_is_a_miss(self, store):
+    def test_missing_or_torn_entry_is_a_miss(self, store):
         stats = evaluate_cell(TASK)
         store.put(TASK, stats)
-        sidecar = store.path_for(TASK).with_suffix(".lat")
-        truncated = sidecar.read_bytes()[:-8]
-        sidecar.write_bytes(truncated)
+        path = store.path_for(TASK)
+        path.write_bytes(path.read_bytes()[:-8])
         assert store.get(TASK) is None
-        sidecar.unlink()
+        path.unlink()
         assert store.get(TASK) is None
 
     def test_entries_iterates_tasks_and_stats(self, store):
@@ -126,13 +134,11 @@ class TestResultStore:
             store.put(TASK, evaluate_cell(TASK))
         finally:
             os.umask(old_umask)
-        for path in (store.path_for(TASK),
-                     store.path_for(TASK).with_suffix(".lat")):
-            assert path.stat().st_mode & 0o777 == 0o644
+        assert store.path_for(TASK).stat().st_mode & 0o777 == 0o644
 
     def test_concurrent_writers_leave_the_umask_alone(self, store,
                                                      tmp_path):
-        """Two threads writing entries, sidecars and CSV exports at a
+        """Two threads writing entries and CSV exports at a
         1 us switch interval never change the process umask, and every
         file and shard directory gets the mode it implies.  Reading the
         umask by setting it to 0 and back let one thread see, or
@@ -186,7 +192,7 @@ class TestResultStore:
                  if path.is_file()] + list(exports.iterdir())
         shards = [path for path in store.cells_dir.iterdir()
                   if path.is_dir()]
-        assert len(files) == 2 * (2 * puts + 3) and shards
+        assert len(files) == 2 * (puts + 3) and shards
         assert {oct(path.stat().st_mode & 0o777) for path in files} \
             == {oct(0o640)}
         assert {oct(path.stat().st_mode & 0o777) for path in shards} \
@@ -239,29 +245,29 @@ class TestResultStore:
         row = lean.as_row()
         assert row["avg_latency_ns"] == stats.avg_latency_ns
 
-    def test_archival_reput_reclaims_the_sidecar(self, store):
-        """Re-putting latencies=False over a full entry must delete the
-        bulky .lat sidecar, not just stop referencing it."""
+    def test_archival_reput_drops_the_samples(self, store):
+        """Re-putting latencies=False over a full entry rewrites it as
+        its header line alone: the bulky samples leave the disk."""
         stats = evaluate_cell(TASK)
         store.put(TASK, stats)
-        sidecar = store.path_for(TASK).with_suffix(".lat")
-        assert sidecar.exists()
+        path = store.path_for(TASK)
+        assert not _header_only(path)
         store.put(TASK, stats, latencies=False)
-        assert not sidecar.exists()
+        assert _header_only(path)
         assert store.get(TASK).latencies_ns.tolist() == []
 
     def test_reput_of_archival_stats_keeps_the_summary(self, tmp_path):
         """Stats read back from an archival entry carry a summary and no
         samples; putting them into another store with the default
-        ``latencies=True`` must keep that summary, not write an empty
-        sidecar that later reads back as neither."""
+        ``latencies=True`` must keep that summary, not write an entry
+        that later reads back with neither."""
         stats = evaluate_cell(TASK)
         archival = ResultStore(tmp_path / "archival")
         archival.put(TASK, stats, latencies=False)
         lean = archival.get(TASK)
         copy = ResultStore(tmp_path / "copy")
         copy.put(TASK, lean)
-        assert not copy.path_for(TASK).with_suffix(".lat").exists()
+        assert _header_only(copy.path_for(TASK))
         again = copy.get(TASK)
         assert again == lean
         assert lean.latency_summary is not None
@@ -272,32 +278,34 @@ class TestResultStore:
                        for value in again.latency_row().values())
 
     @staticmethod
-    def _put_zero_count_entry(store, stats):
-        """A sample-less entry in the older layout: ``latencies_count``
-        0 beside an empty sidecar."""
-        store.put(TASK, stats)
-        path = store.path_for(TASK)
-        entry = json.loads(path.read_text())
-        entry["latencies_count"] = 0
-        path.write_text(json.dumps(entry))
-        path.with_suffix(".lat").write_bytes(b"")
+    def _put_zero_count_entry(store, lean, edit_entry):
+        """A full entry whose header is edited to name zero samples and
+        carry ``lean``'s summary instead."""
+        store.put(TASK, evaluate_cell(TASK))
 
-    def test_zero_count_entries_read_back_with_their_summary(self, store,
-                                                             tmp_path):
+        def drop_samples(entry):
+            entry["stats"]["latencies_ns"] = np.empty(0)
+            entry["stats"]["latency_summary"] = lean.latency_summary
+        edit_entry(store.path_for(TASK), drop_samples)
+        assert _header_only(store.path_for(TASK))
+
+    def test_zero_count_entries_read_back_with_their_summary(
+            self, store, tmp_path, edit_entry):
         """A count of 0 restores no samples, so the summary stays."""
         lean_store = ResultStore(tmp_path / "lean")
         lean_store.put(TASK, evaluate_cell(TASK), latencies=False)
         lean = lean_store.get(TASK)
-        self._put_zero_count_entry(store, lean)
+        self._put_zero_count_entry(store, lean, edit_entry)
         assert store.get(TASK) == lean
         assert store.get(TASK).p95_latency_ns == lean.p95_latency_ns
 
-    def test_zero_count_entries_carry_no_samples_in_merges(self, tmp_path):
+    def test_zero_count_entries_carry_no_samples_in_merges(self, tmp_path,
+                                                           edit_entry):
         stats = evaluate_cell(TASK)
         archival = ResultStore(tmp_path / "archival")
         archival.put(TASK, stats, latencies=False)
         legacy = ResultStore(tmp_path / "legacy")
-        self._put_zero_count_entry(legacy, archival.get(TASK))
+        self._put_zero_count_entry(legacy, archival.get(TASK), edit_entry)
         report = archival.merge_from(legacy)
         assert report.already_present == 1 and not report.upgraded
         full = ResultStore(tmp_path / "full")
@@ -318,6 +326,65 @@ class TestResultStore:
         assert not report.upgraded and not report.conflicts
         assert archival.get(TASK).p95_latency_ns \
             == copy.get(TASK).p95_latency_ns
+
+
+#: Small, so that its entry file is short.
+TORN_TASK = EvalTask("EPCM-MM", "gcc", 60, 7)
+
+
+@pytest.fixture(scope="module")
+def torn_stores(tmp_path_factory):
+    """A store to hold one damaged entry, a merge destination, and the
+    intact files of one entry with samples and one archival entry."""
+    stats = evaluate_cell(TORN_TASK)
+    store = ResultStore(tmp_path_factory.mktemp("torn") / "store")
+    intact = {}
+    for latencies in (True, False):
+        store.put(TORN_TASK, stats, latencies=latencies)
+        intact[latencies] = store.path_for(TORN_TASK).read_bytes()
+    dest = ResultStore(tmp_path_factory.mktemp("torn") / "dest")
+    return store, dest, intact
+
+
+def _miscounted(blob, delta):
+    """``blob`` with its header's sample count off by ``delta``."""
+    end = blob.index(b"\n")
+    entry = json.loads(blob[:end])
+    entry["stats"]["latencies_ns"] += delta
+    line = json.dumps(entry).encode()
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n" + blob[end + 1:]
+
+
+class TestTornEntries:
+    """Whatever part of an entry file a crash leaves, and whatever its
+    header claims, every reader sees no entry: ``get`` misses,
+    ``entries()`` skips it, ``gc`` finds it dead and a merge skips it
+    as unreadable."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_a_damaged_entry_is_a_miss_everywhere(self, torn_stores, data):
+        store, dest, intact = torn_stores
+        blob = intact[data.draw(st.booleans(), label="with samples")]
+        header_end = blob.index(b"\n")
+        cut = st.integers(0, len(blob) - 1) \
+            | st.sampled_from([header_end, header_end + 1])
+        damaged = data.draw(
+            cut.filter(lambda at: at < len(blob)).map(
+                lambda at: blob[:at])
+            | st.sampled_from([-1, 1]).map(
+                lambda delta: _miscounted(blob, delta)),
+            label="damaged")
+        path = store.path_for(TORN_TASK)
+        path.write_bytes(damaged)
+        assert store.get(TORN_TASK) is None
+        assert list(store.entries()) == []
+        report = store.gc(dry_run=True)
+        assert report.removed_stale == [path] and report.live == 0
+        merge = dest.merge_from(store)
+        assert merge.skipped_unreadable == [path]
+        assert not merge.copied_total and not merge.conflicts
+        assert len(dest) == 0
 
 
 class TestInvalidation:

@@ -42,8 +42,8 @@ def _hammer_put(root, barrier, task, stats, rounds):
 class TestConcurrentSameDigestPuts:
     def test_simultaneous_puts_leave_one_complete_entry(self, tmp_path):
         """Four processes put the same digest at once: atomic rename
-        wins, no torn JSON or sidecar, and the surviving entry is the
-        stats bit-for-bit."""
+        wins, no torn entry, and the surviving entry is the stats
+        bit-for-bit."""
         stats = evaluate_cell(TASK)
         root = tmp_path / "store"
         ResultStore(root)    # create meta before the stampede
@@ -62,12 +62,10 @@ class TestConcurrentSameDigestPuts:
 
         store = ResultStore(root)
         assert store.get(TASK) == stats
-        # Exactly one entry + one sidecar — no stray temp files left by
-        # the staged writes.
-        files = sorted(p.name for p in store.cells_dir.glob("*/*"))
-        assert len([f for f in files if f.endswith(".json")]) == 1
-        assert len([f for f in files if f.endswith(".lat")]) == 1
-        assert not [f for f in files if f.startswith(".")]
+        # Exactly one entry file — no stray temp files left by the
+        # staged writes.
+        files = [p.name for p in store.cells_dir.glob("*/*")]
+        assert files == [store.path_for(TASK).name]
 
     def test_reader_sees_nothing_or_a_complete_entry(self, tmp_path):
         """While a child re-puts the entry in a tight loop, every parent
@@ -145,10 +143,8 @@ class TestThreadedSameDigestPuts:
             thread.join(timeout=120)
         assert not errors
         assert store.get(TASK) == stats
-        files = sorted(p.name for p in store.cells_dir.glob("*/*"))
-        assert len([f for f in files if f.endswith(".json")]) == 1
-        assert len([f for f in files if f.endswith(".lat")]) == 1
-        assert not [f for f in files if f.startswith(".")]
+        files = [p.name for p in store.cells_dir.glob("*/*")]
+        assert files == [store.path_for(TASK).name]
 
     def test_threaded_readers_race_a_writer(self, tmp_path):
         stats = evaluate_cell(TASK)
@@ -207,13 +203,16 @@ class TestUnreadableEdgeCases:
         """entries() tolerates files vanishing under it (concurrent GC
         semantics): unreadable cells are skipped, not raised."""
         store = ResultStore(tmp_path / "store")
-        store.put(TASK, evaluate_cell(TASK))
         other = EvalTask("EPCM-MM", "mcf", 300, 7)
-        store.put(other, evaluate_cell(other))
-        # Sidecar gone but entry present: that cell is skipped.
-        store.path_for(TASK).with_suffix(".lat").unlink()
-        listed = list(store.entries())
-        assert [task for task, _ in listed] == [other]
+        for task in (TASK, other):
+            store.put(task, evaluate_cell(task))
+        first, second = sorted((TASK, other),
+                               key=lambda task: store.path_for(task).name)
+        scan = store.entries()
+        assert next(scan)[0] == first
+        # Listed, then deleted before the scan reads it: skipped.
+        store.path_for(second).unlink()
+        assert list(scan) == []
 
     def test_get_survives_entry_replaced_by_directory(self, tmp_path):
         """Even a pathological filesystem state (entry path is a
